@@ -7,20 +7,20 @@ large TWCS draw/estimate loop four ways:
   (``draw_positions`` / ``update_all_positions``), the PR-1 fast path;
 * **engine, serial** — the sharded engine executing every shard task
   in-process (``workers=None``): the parity reference;
-* **engine, pool** — the same plan fanned across ``REPRO_BENCH_PARALLEL_
-  WORKERS`` processes;
+* **engine, shm** — the same plan fanned across ``REPRO_BENCH_PARALLEL_
+  WORKERS`` shared-memory worker processes, started cold;
 * **engine, auto** — the adaptive planner's pick, calibrated from this very
-  run's serial/pool measurements, executed twice: once cold (paying any
-  pool/segment startup) and once warm (adopting the parked keep-alive
-  pool).  The planner is pinned to the same shard count, so its run must
-  be bit-identical to the serial engine whatever transport it picks.
+  run's serial/shm measurements, executed twice: once cold (paying any
+  pool/segment startup) and once warm (adopting the parked pool).  The
+  planner is pinned to the same shard count, so its run must be
+  bit-identical to the serial engine whatever transport it picks.
 
-The statistical contract is asserted unconditionally: the pool and auto
+The statistical contract is asserted unconditionally: the shm and auto
 runs must be **bit-identical** (estimates and Eq. (4) cost) to the serial
 engine run, all must agree with the ground truth to sampling accuracy, and
 the planner's *never-slower-than-serial* invariant is gated at every scale:
 the warm auto run must stay within 10% of the serial engine plus an
-absolute noise floor.  The >=2.5x pool speedup and the >=2x auto-vs-pool
+absolute noise floor.  The >=2.5x shm speedup and the >=2x auto-vs-cold-shm
 assertions only fire at full scale on a machine with at least 4 CPUs, so
 the CI smoke run (~50k triples, 2 workers, shared runners) stays a
 correctness check — mirroring the other benchmarks' full-scale gating.
@@ -174,24 +174,34 @@ def _engine_loop(graph, labels, workers, *, transport=None, planner_decision=Non
         }
 
 
-def _auto_loop(graph, serial_result, pool_result, labels) -> dict:
+def _shm_loop(graph, labels) -> dict:
+    """The engine on ``_WORKERS`` shared-memory workers, from a cold pool."""
+    from repro.sampling import shm
+
+    shm.shutdown_warm_pools()
+    return _engine_loop(graph, labels, workers=_WORKERS)
+
+
+def _auto_loop(graph, serial_result, shm_result, labels) -> dict:
     """Plan from this run's own measurements, then execute cold and warm.
 
-    The profile is calibrated *from the serial/pool legs just timed* — the
+    The profile is calibrated *from the serial/shm legs just timed* — the
     planner never sees hand-tuned numbers — and the shard count is pinned
     to ``_SHARDS`` so whatever transport it picks must replay the serial
     engine's trajectory bit for bit.
     """
+    from repro.sampling import shm
     from repro.sampling.planner import AdaptivePlanner, CalibrationProfile
 
+    shm.shutdown_warm_pools()  # the shm leg's parked pool must not warm "cold"
     profile = CalibrationProfile()
     calibrated = profile.calibrate_from_bench(
-        {"draws": _DRAWS, "engine_serial": serial_result, "engine_pool": pool_result}
+        {"draws": _DRAWS, "engine_serial": serial_result, "engine_shm": shm_result}
     )
     planner = AdaptivePlanner(profile)
     decision = planner.plan(graph.backend.stats(), draws=_DRAWS, batch_size=_BATCH, shards=_SHARDS)
     transport = AdaptivePlanner.build_transport(decision)
-    # Cold pays pool/segment startup; warm adopts the parked keep-alive pool.
+    # Cold pays pool/segment startup; warm adopts the parked pool.
     cold = _engine_loop(graph, labels, None, transport=transport, planner_decision=decision)
     warm = _engine_loop(graph, labels, None, transport=transport, planner_decision=decision)
     return {
@@ -252,11 +262,11 @@ def test_parallel_draw_loop(benchmark):
             "cpus_available": _available_cpus(),
             "serial_design": _serial_design_loop(graph, labels),
             "engine_serial": _engine_loop(graph, labels, workers=None),
-            "engine_pool": _engine_loop(graph, labels, workers=_WORKERS),
+            "engine_shm": _shm_loop(graph, labels),
             "true_accuracy": float(labels.mean()),
         }
         payload["engine_auto"] = _auto_loop(
-            graph, payload["engine_serial"], payload["engine_pool"], labels
+            graph, payload["engine_serial"], payload["engine_shm"], labels
         )
         payload["metrics"] = obs_metrics.snapshot()
         return payload
@@ -266,35 +276,35 @@ def test_parallel_draw_loop(benchmark):
 
     serial = results["serial_design"]
     engine = results["engine_serial"]
-    pool = results["engine_pool"]
+    shm = results["engine_shm"]
     auto = results["engine_auto"]
-    speedup = serial["seconds"] / pool["seconds"]
-    engine_speedup = engine["seconds"] / pool["seconds"]
+    speedup = serial["seconds"] / shm["seconds"]
+    engine_speedup = engine["seconds"] / shm["seconds"]
     emit(
         f"Parallel sharded TWCS draw loop ({results['num_triples']:,} triples, "
-        f"{results['draws']:,} draws, {pool['shards']} shards, "
+        f"{results['draws']:,} draws, {shm['shards']} shards, "
         f"{_WORKERS} workers, {results['cpus_available']} CPUs usable)",
         "\n".join(
             [
                 f"{'serial design loop s':28}{serial['seconds']:>10.2f}",
                 f"{'engine serial s':28}{engine['seconds']:>10.2f}",
-                f"{'engine pool s':28}{pool['seconds']:>10.2f}",
+                f"{'engine shm s':28}{shm['seconds']:>10.2f}",
                 f"{'engine auto cold s':28}{auto['cold']['seconds']:>10.2f}",
                 f"{'engine auto warm s':28}{auto['warm']['seconds']:>10.2f}",
                 f"{'planner picked':28}{auto['decision']['transport']:>10}",
                 f"{'speedup vs design loop':28}{speedup:>9.1f}x",
                 f"{'speedup vs engine serial':28}{engine_speedup:>9.1f}x",
-                f"{'estimate (pool)':28}{pool['estimate']:>10.4f}",
+                f"{'estimate (shm)':28}{shm['estimate']:>10.4f}",
                 f"{'true accuracy':28}{results['true_accuracy']:>10.4f}",
                 "per-shard worker seconds    "
                 + ", ".join(
-                    f"{s['shard']}: {s['draw_seconds']:.2f}" for s in pool["shard_stats"]
+                    f"{s['shard']}: {s['draw_seconds']:.2f}" for s in shm["shard_stats"]
                 ),
             ]
         ),
     )
 
-    # The determinism contract always holds: pool and both auto runs replay
+    # The determinism contract always holds: shm and both auto runs replay
     # the serial engine bit for bit.
     compared_keys = (
         "estimate",
@@ -306,12 +316,12 @@ def test_parallel_draw_loop(benchmark):
         "triples_annotated",
     )
     for key in compared_keys:
-        assert pool[key] == engine[key], key
+        assert shm[key] == engine[key], key
     for leg in (auto["cold"], auto["warm"]):
         for key in compared_keys:
             assert leg[key] == engine[key], f"auto/{leg['transport']}: {key}"
     # All estimators agree with the truth to sampling accuracy.
-    for estimate in (serial["estimate"], pool["estimate"], auto["warm"]["estimate"]):
+    for estimate in (serial["estimate"], shm["estimate"], auto["warm"]["estimate"]):
         assert abs(estimate - results["true_accuracy"]) < 0.01
 
     # Planner invariant, gated at EVERY scale: the planned configuration is
@@ -328,10 +338,10 @@ def test_parallel_draw_loop(benchmark):
             f"parallel draw-loop speedup {speedup:.1f}x below the 2.5x target "
             f"({_WORKERS} workers)"
         )
-        auto_vs_pool = pool["seconds"] / auto["warm"]["seconds"]
-        assert auto_vs_pool >= 2.0, (
+        auto_vs_cold = shm["seconds"] / auto["warm"]["seconds"]
+        assert auto_vs_cold >= 2.0, (
             f"planner pick '{auto['decision']['transport']}' only "
-            f"{auto_vs_pool:.2f}x faster than the pool transport at full scale"
+            f"{auto_vs_cold:.2f}x faster than the cold shm transport at full scale"
         )
 
 

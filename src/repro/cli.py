@@ -29,8 +29,8 @@ Five commands cover the common workflows:
   ``monitor`` dispatch to such nodes with ``--transport rpc --nodes
   host1:p1,host2:p2`` (plus ``--secret-file`` and ``--accept-joins`` for
   authenticated/elastic clusters) — trajectories are bit-identical to
-  ``--workers`` (pool) and ``--workers 0`` (serial) runs with the same
-  ``--shards``;
+  ``--workers N`` (shared memory) and ``--workers 0`` (serial) runs with
+  the same ``--shards``;
 * ``serve`` — run the long-lived multi-session evaluation daemon: graphs stay
   attached across requests, sessions multiplex over one transport fleet, the
   latest estimate of every session is an O(1) cached read, and SIGTERM drains
@@ -49,8 +49,8 @@ Five commands cover the common workflows:
   transport planner's calibration profile.  ``evaluate``/``monitor`` default
   to ``--transport auto``: the shard plan (part of a run's random-stream
   identity) is a deterministic function of the graph's stats and the MoE
-  target, identical on every host; the planner then picks serial, a warm
-  pool, the shared-memory transport or RPC to *execute* that fixed plan,
+  target, identical on every host; the planner then picks serial, the
+  shared-memory worker pool or RPC to *execute* that fixed plan,
   never slower than serial beyond noise (see ``docs/planner.md``).
 
 Examples
@@ -254,8 +254,8 @@ def _build_transport(args: argparse.Namespace):
     """Resolve an *explicit* ``--transport`` choice into a ShardTransport.
 
     Returns ``None`` for ``auto`` (the adaptive planner decides separately,
-    see :func:`_plan_transport`) and for the legacy bare ``--workers``
-    shorthand (the executor then builds its own pool).
+    see :func:`_plan_transport`) and for the bare ``--workers`` shorthand
+    (the executor then builds its own shared-memory transport).
     """
     if args.transport in (None, "auto"):
         return None
@@ -271,15 +271,8 @@ def _build_transport(args: argparse.Namespace):
         if transport.join_address is not None:
             print(f"accepting worker joins on {transport.join_address}", flush=True)
         return transport
-    from repro.sampling.parallel import (
-        ParallelSamplingExecutor,
-        ProcessPoolTransport,
-        SerialTransport,
-    )
+    from repro.sampling.parallel import ParallelSamplingExecutor, SerialTransport
 
-    if args.transport == "pool":
-        workers = args.workers or ParallelSamplingExecutor.default_workers()
-        return ProcessPoolTransport(workers)
     if args.transport == "shm":
         from repro.sampling.shm import SharedMemoryTransport
 
@@ -344,7 +337,7 @@ def _resolve_parallel(args: argparse.Namespace, graph=None, draws_hint: int | No
     planner chooses which transport executes that
     plan from CPU availability and the calibration profile; ``decision``
     then carries the reasoning.  In explicit modes the shard count obeys
-    ``--shards`` first, then the transport's natural width (pool worker
+    ``--shards`` first, then the transport's natural width (shm worker
     count, RPC node count), then ``max(workers, 1)``.
     """
     if args.transport == "auto" and args.workers is None and graph is not None:
@@ -368,7 +361,7 @@ def _transport_label(args: argparse.Namespace, decision=None) -> str:
         return f"rpc[{len(_parse_nodes(args))} nodes]"
     if args.transport not in (None, "auto"):
         return args.transport
-    return "pool" if args.workers else "serial"
+    return "shm" if args.workers else "serial"
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -1235,9 +1228,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="fan the draw loop across N worker processes via the sharded "
-        "position-surface engine (0 = sharded but in-process; default: the "
-        "single-stream serial loop)",
+        help="fan the draw loop across N shared-memory worker processes via "
+        "the sharded position-surface engine (0 = sharded but in-process; "
+        "default: the single-stream serial loop)",
     )
     evaluate.add_argument(
         "--shards",
@@ -1249,14 +1242,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument(
         "--transport",
-        choices=("auto", "serial", "pool", "shm", "rpc"),
+        choices=("auto", "serial", "shm", "rpc"),
         default="auto",
         help="execution transport for the sharded engine: 'auto' (default — "
         "a deterministic shard plan from graph stats + the MoE target, "
         "executed by whichever transport the adaptive planner predicts "
         "fastest, see docs/planner.md), 'serial' (in-process reference), "
-        "'pool' (local worker processes), 'shm' (shared-memory CSR views + "
-        "warm worker pool), 'rpc' (remote worker nodes via --nodes); "
+        "'shm' (local worker processes over shared-memory CSR views, the "
+        "same as --workers N), 'rpc' (remote worker nodes via --nodes); "
         "trajectories are bit-identical across transports for a fixed "
         "shard plan",
     )
@@ -1359,8 +1352,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="fan the position-surface draw loops (base stratum, update "
-        "segments) across N worker processes (0 = sharded but in-process); "
-        "requires --backend columnar with --evaluator rs or ss",
+        "segments) across N shared-memory worker processes (0 = sharded but "
+        "in-process); requires --backend columnar with --evaluator rs or ss",
     )
     monitor.add_argument(
         "--shards",
@@ -1371,7 +1364,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     monitor.add_argument(
         "--transport",
-        choices=("auto", "serial", "pool", "shm", "rpc"),
+        choices=("auto", "serial", "shm", "rpc"),
         default="auto",
         help="execution transport for the sharded draw loops (see `evaluate "
         "--transport`; 'auto' plans adaptively on the position surface and "
@@ -1550,7 +1543,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client_run.add_argument(
         "--transport",
-        choices=("serial", "pool", "shm", "rpc"),
+        choices=("serial", "shm", "rpc"),
         default=None,
         help="ask the daemon to run this session's draw loops on a specific "
         "transport (default: the daemon's classic single-stream loop)",
@@ -1559,7 +1552,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the session's pool/shm engine request",
+        help="worker count for the session's shm engine request",
     )
     client_run.add_argument(
         "--shards",

@@ -98,7 +98,7 @@ class IncrementalEvaluator(ABC):
         serial draw loops.  ``0`` routes the parallelisable draw loops (base
         stratum, update segments) through the sharded engine executed
         in-process — the parity reference; ``>= 1`` fans them across that
-        many worker processes.  For a fixed ``num_shards`` every setting of
+        many shared-memory worker processes.  For a fixed ``num_shards`` every setting of
         ``workers >= 0`` yields bit-identical estimate trajectories.
     num_shards:
         Shard count for the sharded draw loops (default: the transport's
@@ -113,7 +113,7 @@ class IncrementalEvaluator(ABC):
         ``window=`` and late-joining workers via ``join_address=`` — none
         of which perturb the trajectory).  Mutually exclusive with
         ``workers``; for a fixed ``num_shards`` every transport yields
-        bit-identical estimate trajectories (serial == pool == RPC,
+        bit-identical estimate trajectories (serial == shm == RPC,
         regardless of window size, node churn or work stealing).  The
         evaluator owns the transport: :meth:`close` closes it.
     compact_threshold:

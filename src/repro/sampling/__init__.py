@@ -41,7 +41,6 @@ from repro.sampling.parallel import (
     PARALLEL_DESIGNS,
     CostSummary,
     ParallelSamplingExecutor,
-    ProcessPoolTransport,
     SamplingRun,
     SerialTransport,
     ShardDraw,
@@ -87,7 +86,6 @@ __all__ = [
     "ShardResult",
     "ShardTransport",
     "SerialTransport",
-    "ProcessPoolTransport",
     "PilotResult",
     "run_pilot",
     "recommend_design",

@@ -4,8 +4,8 @@ Every cluster design's draw loop decomposes over a
 :class:`~repro.storage.shard.ShardPlan`: shard ``k`` owns a contiguous row
 range of the CSR index, draws first-stage clusters inside that range with its
 own random stream, and runs the second stage on its own zero-copy slice.
-:class:`ParallelSamplingExecutor` fans those per-shard loops across a process
-pool and merges the per-shard accumulators deterministically.
+:class:`ParallelSamplingExecutor` fans those per-shard loops across a
+transport and merges the per-shard accumulators deterministically.
 
 Determinism contract
 --------------------
@@ -22,7 +22,7 @@ design, plan, seed)``:
 * label sums, estimator updates and Eq. (4) cost accounting happen on the
   master, folding per-shard results in shard order.
 
-Consequently a run executed on a process pool is **bit-identical** — same
+Consequently a run executed by worker processes is **bit-identical** — same
 estimates, same cost accounting — to the same run executed serially
 in-process (``workers=None``), on every storage backend, regardless of
 worker count or OS scheduling.  The random stream *does* depend on the shard
@@ -38,8 +38,9 @@ of ``(task, bound CSR index)``, swapping the transport can never change a
 trajectory.  Three implementations exist:
 
 * :class:`SerialTransport` — runs every task in-process; the reference.
-* :class:`ProcessPoolTransport` — fans tasks across a local fork/spawn
-  process pool (the historical ``workers=`` behaviour).
+* :class:`~repro.sampling.shm.SharedMemoryTransport` — fans tasks across a
+  local worker pool that maps the CSR index from shared memory (what
+  ``workers=N`` builds).
 * :class:`~repro.sampling.rpc.SocketRPCTransport` — streams tasks to remote
   worker nodes over a schema'd, CRC-framed binary protocol
   (:mod:`repro.sampling.wire` — no pickle on the wire), with mutual
@@ -54,25 +55,17 @@ transport may execute a task *more than once* (drop reassignment, work
 stealing) — every copy yields the identical bytes, so exactly-once
 execution is not part of the contract; exactly-once *merging* is.
 
-Workers attach to the CSR index without copying: on ``fork`` platforms the
-arrays are inherited copy-on-write through a module registry; with a
-``snapshot`` directory (or over RPC) they re-open the columns
-memory-mapped; the ``spawn`` fallback ships the arrays once per worker.
-Labels never leave the master.
+Local workers map the CSR index from named shared-memory segments; remote
+nodes re-open it memory-mapped from a content-addressed snapshot.  Labels
+never leave the master.
 """
 
 from __future__ import annotations
 
-import atexit
 import math
-import multiprocessing
-import os
 import time
-import uuid
 from abc import ABC, abstractmethod
-from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +77,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger
 from repro.obs.trace import TraceContext
 from repro.sampling.base import Estimate
+from repro.sampling.planner import available_cpus
 from repro.stats.allocation import (
     largest_remainder,
     neyman_allocation,
@@ -103,8 +97,6 @@ __all__ = [
     "ShardResult",
     "ShardTransport",
     "SerialTransport",
-    "ProcessPoolTransport",
-    "shutdown_warm_pools",
 ]
 
 #: Designs the engine can fan out (plus ``"twcs-strat"`` via ``strata=``).
@@ -116,32 +108,12 @@ _log = get_logger("sampling.engine")
 _task_log = get_logger("sampling.task")
 
 
-# --------------------------------------------------------------------------- #
-# Worker-side attachment
-# --------------------------------------------------------------------------- #
-#: Parent-side registry of CSR arrays, inherited copy-on-write by forked
-#: workers; keyed per executor so several executors can coexist.
-_ATTACH_REGISTRY: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-#: Worker-side attachment installed by the pool initializer.
-_WORKER_ATTACH: tuple[np.ndarray, np.ndarray] | None = None
-
-
 def _load_snapshot_csr(path: str) -> tuple[np.ndarray, np.ndarray]:
     base = Path(path)
     return (
         np.load(base / "cluster_offsets.npy", mmap_mode="r"),
         np.load(base / "cluster_positions.npy", mmap_mode="r"),
     )
-
-
-def _init_worker(mode: str, payload) -> None:
-    global _WORKER_ATTACH
-    if mode == "registry":
-        _WORKER_ATTACH = _ATTACH_REGISTRY[payload]
-    elif mode == "snapshot":
-        _WORKER_ATTACH = _load_snapshot_csr(payload)
-    else:  # "arrays" — spawn fallback, shipped once per worker
-        _WORKER_ATTACH = payload
 
 
 # --------------------------------------------------------------------------- #
@@ -399,11 +371,6 @@ def _run_task(task: ShardTask, attached: tuple[np.ndarray, np.ndarray] | None) -
     )
 
 
-def _execute_task(task: ShardTask) -> ShardResult:
-    """Pool entry point: resolve the worker attachment and run the task."""
-    return _run_task(task, _WORKER_ATTACH)
-
-
 def _unit_label_sums(counts: np.ndarray, positions: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-unit correct-label sums via one gather + prefix-sum differences."""
     if counts.shape[0] == 0:
@@ -420,29 +387,23 @@ def _unit_label_sums(counts: np.ndarray, positions: np.ndarray, labels: np.ndarr
 class ShardTransport(ABC):
     """Executes :class:`ShardTask`\\ s somewhere and returns their results.
 
-    Lifecycle: :meth:`bind` is called once with the master's CSR index (and
-    optional snapshot directory) before any task runs; :meth:`execute` is
-    called once per round with a list of self-contained tasks and must
-    return the matching :class:`ShardResult`\\ s **in task order**;
-    :meth:`close` releases whatever the transport holds (pools, sockets).
+    Lifecycle: :meth:`bind` is called once with the master's CSR index
+    before any task runs; :meth:`execute` is called once per round with a
+    list of self-contained tasks and must return the matching
+    :class:`ShardResult`\\ s **in task order**; :meth:`close` releases
+    whatever the transport holds (pools, sockets).
 
     Contract: a result is a pure function of ``(task, bound CSR index)`` —
     every transport must produce bit-identical results for the same bound
-    index and task list, so serial == pool == RPC trajectories hold by
+    index and task list, so serial == shm == RPC trajectories hold by
     construction and are enforced by the parity suites.
     """
 
     #: Stable short name for planner decisions, shard stats and metrics
-    #: labels (``"serial"``, ``"pool"``, ``"shm"``, ``"rpc"``).
+    #: labels (``"serial"``, ``"shm"``, ``"rpc"``).
     kind = "unknown"
 
-    def bind(
-        self,
-        offsets: np.ndarray,
-        positions: np.ndarray,
-        *,
-        snapshot: str | None = None,
-    ) -> None:
+    def bind(self, offsets: np.ndarray, positions: np.ndarray) -> None:
         """Attach the transport to the run population's CSR index.
 
         Each call advances :attr:`bind_generation`; executors record the
@@ -452,7 +413,6 @@ class ShardTransport(ABC):
         """
         self._offsets = offsets
         self._positions = positions
-        self._snapshot = snapshot
         self.bind_generation = getattr(self, "bind_generation", 0) + 1
 
     @property
@@ -487,169 +447,6 @@ class SerialTransport(ShardTransport):
     def execute(self, tasks: list[ShardTask]) -> list[ShardResult]:
         attached = (self._offsets, self._positions)
         return [_run_task(task, attached) for task in tasks]
-
-
-#: Parked keep-alive pools awaiting adoption, LRU-ordered and keyed by
-#: ``ProcessPoolTransport._warm_key()``.  Each entry holds the pool, its
-#: ``_ATTACH_REGISTRY`` key, and **strong references to the bound CSR
-#: arrays**: pinning the arrays in the entry itself (not only through the
-#: fork-mode registry) keeps their ``id()``s unambiguous under every start
-#: method — under ``spawn`` there is no registry entry, and without the pin
-#: a freed array's id could be reused by a different graph, letting its
-#: bind adopt a pool whose workers still hold the old CSR.
-_WARM_POOLS: "OrderedDict[tuple, tuple[ProcessPoolExecutor, str | None, tuple]]" = OrderedDict()
-
-#: At most this many pools stay parked; the least-recently-parked is shut
-#: down (and its registry attachment dropped) on overflow, so a long-lived
-#: process walking many graphs cannot accumulate OS processes and pinned
-#: arrays without bound.
-_WARM_POOL_LIMIT = 2
-
-
-def _discard_warm_pool(key: tuple) -> None:
-    pool, attach_key, _pinned = _WARM_POOLS.pop(key)
-    try:
-        pool.shutdown(wait=True)
-    except Exception:
-        # A parked pool whose worker processes already died (SIGKILL'd
-        # children, a broken fork context at interpreter exit) may raise from
-        # shutdown; the entry is already unregistered, and one corpse must
-        # not stop the remaining pools — or the atexit hook — from cleaning
-        # up.
-        pass
-    if attach_key is not None:
-        _ATTACH_REGISTRY.pop(attach_key, None)
-
-
-def _park_warm_pool(
-    key: tuple, pool: ProcessPoolExecutor, attach_key: str | None, pinned: tuple
-) -> None:
-    _WARM_POOLS[key] = (pool, attach_key, pinned)
-    _WARM_POOLS.move_to_end(key)
-    while len(_WARM_POOLS) > _WARM_POOL_LIMIT:
-        _discard_warm_pool(next(iter(_WARM_POOLS)))
-
-
-def shutdown_warm_pools() -> None:
-    """Shut down every parked keep-alive worker pool (also runs at exit).
-
-    Idempotent: an explicit call (a draining ``repro serve`` daemon, a test's
-    teardown) empties the registry, and the ``atexit`` hook re-running over
-    the already-empty registry is a no-op.  Pools that fail to shut down are
-    discarded anyway — see :func:`_discard_warm_pool`.
-    """
-    while _WARM_POOLS:
-        _discard_warm_pool(next(iter(_WARM_POOLS)))
-
-
-atexit.register(shutdown_warm_pools)
-
-
-class ProcessPoolTransport(ShardTransport):
-    """Local fork/spawn process-pool execution (the historical ``workers=``).
-
-    Workers attach to the bound CSR index copy-on-write through the module
-    registry on ``fork`` platforms, via ``mmap`` when the transport is bound
-    with a snapshot directory, or by receiving the arrays once per worker
-    under ``spawn``.  The pool is created lazily on the first round and can
-    be re-created after :meth:`close`.
-
-    With ``keep_alive=True`` (what the adaptive planner requests),
-    :meth:`close` *parks* the live pool in a module registry instead of
-    shutting it down, and a later :meth:`bind` to the **same** CSR index
-    (same array objects or the same snapshot directory, same worker count)
-    adopts it back — so repeated runs over one resident graph pay the fork
-    startup exactly once per process.  Binding to a different index always
-    tears the pool down first; correctness never depends on adoption.
-    """
-
-    kind = "pool"
-
-    def __init__(self, workers: int, *, keep_alive: bool = False) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        self.workers = int(workers)
-        self.keep_alive = bool(keep_alive)
-        self._pool: ProcessPoolExecutor | None = None
-        self._attach_key: str | None = None
-
-    @property
-    def default_shards(self) -> int | None:
-        return self.workers
-
-    def _warm_key(self) -> tuple:
-        """Identity of (worker count, attached CSR index) for pool reuse.
-
-        Array ``id()`` is unambiguous here because a parked pool's
-        ``_WARM_POOLS`` entry holds strong references to the arrays (in
-        every start method) for as long as the key can be looked up.
-        """
-        if self._snapshot is not None:
-            return ("pool", self.workers, "snapshot", self._snapshot)
-        return ("pool", self.workers, id(self._offsets), id(self._positions))
-
-    def bind(self, offsets, positions, *, snapshot=None) -> None:
-        # A live pool's workers attached to the previously bound index; tear
-        # it down (or park it, when keep-alive) so re-binding can never
-        # execute tasks against stale arrays.
-        self.close()
-        super().bind(offsets, positions, snapshot=snapshot)
-        if self.keep_alive:
-            parked = _WARM_POOLS.pop(self._warm_key(), None)
-            if parked is not None:
-                self._pool, self._attach_key, _pinned = parked
-                obs_metrics.counter("sampling_warm_pool_reuse_total", kind=self.kind).inc()
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                context = multiprocessing.get_context("spawn")
-            if self._snapshot is not None:
-                init_args = ("snapshot", self._snapshot)
-            elif context.get_start_method() == "fork":
-                self._attach_key = uuid.uuid4().hex
-                _ATTACH_REGISTRY[self._attach_key] = (self._offsets, self._positions)
-                init_args = ("registry", self._attach_key)
-            else:  # pragma: no cover - spawn fallback ships the arrays once
-                init_args = (
-                    "arrays",
-                    (np.asarray(self._offsets), np.asarray(self._positions)),
-                )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=init_args,
-            )
-        return self._pool
-
-    def execute(self, tasks: list[ShardTask]) -> list[ShardResult]:
-        pool = self._ensure_pool()
-        futures = [pool.submit(_execute_task, task) for task in tasks]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        bound = getattr(self, "_offsets", None) is not None
-        if self._pool is not None and self.keep_alive and bound:
-            key = self._warm_key()
-            if key not in _WARM_POOLS:
-                # Park the pool for the next transport bound to the same
-                # index, pinning the bound arrays so the id-based key stays
-                # unambiguous for the entry's lifetime.
-                _park_warm_pool(
-                    key, self._pool, self._attach_key, (self._offsets, self._positions)
-                )
-                self._pool = None
-                self._attach_key = None
-                return
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._attach_key is not None:
-            _ATTACH_REGISTRY.pop(self._attach_key, None)
-            self._attach_key = None
 
 
 # --------------------------------------------------------------------------- #
@@ -1099,7 +896,7 @@ class SamplingRun:
 
 
 # --------------------------------------------------------------------------- #
-# The executor: pool + attachment factory for runs
+# The executor: transport + attachment factory for runs
 # --------------------------------------------------------------------------- #
 class ParallelSamplingExecutor:
     """Transport-backed front end for sharded position-surface sampling.
@@ -1114,14 +911,14 @@ class ParallelSamplingExecutor:
         Convenience shorthand when no ``transport`` is given: ``None`` (or
         0) selects a :class:`SerialTransport` — the *serial position
         surface* of the sharded plan and the parity reference; ``>= 1``
-        selects a :class:`ProcessPoolTransport` with that many worker
-        processes.
+        selects a :class:`~repro.sampling.shm.SharedMemoryTransport` with
+        that many worker processes.
     num_shards:
         Default shard count for plans built by this executor (defaults to
         ``max(workers, 1)``).
     snapshot:
-        Optional snapshot *directory* path: pool workers attach to the CSR
-        columns memory-mapped instead of inheriting them.
+        Optional snapshot *directory* path to load the CSR columns from,
+        memory-mapped, when ``graph`` is omitted.
     transport:
         An explicit :class:`ShardTransport` (e.g. a
         :class:`~repro.sampling.rpc.SocketRPCTransport` over remote nodes).
@@ -1161,16 +958,16 @@ class ParallelSamplingExecutor:
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.positions = positions
         self.workers = int(workers) if workers else None
-        self.snapshot = str(snapshot) if snapshot is not None else None
         if transport is None:
-            transport = (
-                ProcessPoolTransport(self.workers)
-                if self.workers is not None
-                else SerialTransport()
-            )
+            if self.workers is not None:
+                from repro.sampling.shm import SharedMemoryTransport
+
+                transport = SharedMemoryTransport(self.workers)
+            else:
+                transport = SerialTransport()
         self.transport = transport
         self.planner_decision = planner_decision
-        self.transport.bind(self.offsets, self.positions, snapshot=self.snapshot)
+        self.transport.bind(self.offsets, self.positions)
         self._bind_generation = transport.bind_generation
         if num_shards is not None:
             self.num_shards = num_shards
@@ -1287,5 +1084,5 @@ class ParallelSamplingExecutor:
 
     @staticmethod
     def default_workers() -> int:
-        """A sensible worker count for this machine (CPUs, capped at 8)."""
-        return max(1, min(os.cpu_count() or 1, 8))
+        """A sensible worker count: the CPUs this process may run on, capped at 8."""
+        return min(available_cpus(), 8)

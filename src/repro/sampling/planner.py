@@ -1,7 +1,7 @@
 """Adaptive transport planner: measured costs pick the execution plan.
 
-``BENCH_parallel.json`` has shown since PR 4 that the fork-pool transport
-*loses* to the plain serial loop below ~1M triples — fan-out overhead swamps
+``BENCH_parallel.json`` has shown since PR 4 that local worker processes
+*lose* to the plain serial loop below ~1M triples — fan-out overhead swamps
 the parallel win.  So the right transport is a function of the run, not a
 fixed knob, and :class:`AdaptivePlanner` makes that call per run from two
 inputs:
@@ -67,7 +67,7 @@ __all__ = [
 _log = get_logger("sampling.planner")
 
 #: Transports the planner may select, in preference order on ties.
-PLANNABLE_TRANSPORTS = ("serial", "shm", "pool", "rpc")
+PLANNABLE_TRANSPORTS = ("serial", "shm", "rpc")
 
 #: Draws folded per round by the CLI/benchmark loops; rounds amortise the
 #: per-round fan-out overhead, so the predictor needs the same granularity.
@@ -161,7 +161,6 @@ def _default_transport_costs() -> dict[str, TransportCost]:
     # serial, which is the safe direction for the never-slower invariant.
     return {
         "serial": TransportCost(per_draw_us=1.5, round_overhead_ms=0.2, startup_ms=0.0),
-        "pool": TransportCost(per_draw_us=1.5, round_overhead_ms=3.0, startup_ms=250.0),
         "shm": TransportCost(per_draw_us=1.5, round_overhead_ms=1.5, startup_ms=120.0),
         "rpc": TransportCost(per_draw_us=1.5, round_overhead_ms=6.0, startup_ms=800.0),
     }
@@ -217,7 +216,10 @@ class CalibrationProfile:
         params = payload.get("params", {})
         transports = _default_transport_costs()
         for kind, entry in payload.get("transports", {}).items():
-            transports[kind] = TransportCost.from_dict(entry)
+            # Entries for transports that no longer exist (a legacy "pool")
+            # are dropped, so old profiles keep loading.
+            if kind in transports:
+                transports[kind] = TransportCost.from_dict(entry)
         return cls(
             transports=transports,
             min_speedup=float(params.get("min_speedup", 1.25)),
@@ -266,7 +268,7 @@ class CalibrationProfile:
         transport kinds that were updated.
 
         The serial engine leg pins ``serial.per_draw_us`` (and the workers'
-        too — every transport runs the same draw core); each parallel leg's
+        too — every transport runs the same draw core); the shm leg's
         *excess* over its predicted draw time is split 70/30 between
         startup and per-round overhead.
         """
@@ -282,22 +284,20 @@ class CalibrationProfile:
             serial.per_draw_us = seconds * 1e6 / draws
             serial.round_overhead_ms = 0.0
             serial.samples += 1
-            for kind in ("pool", "shm", "rpc"):
+            for kind in ("shm", "rpc"):
                 self.cost(kind).per_draw_us = serial.per_draw_us
             updated.append("serial")
-        for kind, leg_key in (("pool", "engine_pool"), ("shm", "engine_shm")):
-            leg = payload.get(leg_key)
-            if not leg or not leg.get("seconds"):
-                continue
-            entry = self.cost(kind)
+        leg = payload.get("engine_shm")
+        if leg and leg.get("seconds"):
+            entry = self.cost("shm")
             workers = max(1, int(leg.get("workers", 1)))
-            effective = _effective_parallelism(kind, workers)
+            effective = _effective_parallelism("shm", workers)
             draw_seconds = draws * entry.per_draw_us / 1e6 / effective
             excess = max(0.0, float(leg["seconds"]) - draw_seconds)
             entry.startup_ms = max(1.0, 0.7 * excess * 1_000.0)
             entry.round_overhead_ms = max(0.05, 0.3 * excess * 1_000.0 / rounds)
             entry.samples += 1
-            updated.append(kind)
+            updated.append("shm")
         return updated
 
 
@@ -437,17 +437,11 @@ class AdaptivePlanner:
         return startup + overhead + draws * entry.per_draw_us / 1e6 / effective
 
     @staticmethod
-    def _warm_workers(kind: str, workers: int) -> bool:
-        """Whether a parked warm pool would absorb the startup cost."""
-        if kind == "shm":
-            from repro.sampling import shm
+    def _warm_workers(workers: int) -> bool:
+        """Whether a parked shm pool would absorb the startup cost."""
+        from repro.sampling import shm
 
-            return workers in shm._WARM_SHM_POOLS
-        if kind == "pool":
-            from repro.sampling import parallel
-
-            return any(key[1] == workers for key in parallel._WARM_POOLS)
-        return False
+        return workers in shm._WARM_SHM_POOLS
 
     # ------------------------------------------------------------------ #
     # Planning
@@ -489,8 +483,7 @@ class AdaptivePlanner:
 
         candidates: dict[str, tuple[int, bool]] = {"serial": (1, False)}
         if local_workers >= 2:
-            for kind in ("shm", "pool"):
-                candidates[kind] = (local_workers, self._warm_workers(kind, local_workers))
+            candidates["shm"] = (local_workers, self._warm_workers(local_workers))
         if nodes > 0 and chosen_shards > 1:
             candidates["rpc"] = (max(1, nodes), False)
 
@@ -563,21 +556,17 @@ class AdaptivePlanner:
     ):
         """Materialise the chosen :class:`~repro.sampling.parallel.ShardTransport`.
 
-        Pool and shared-memory transports are created ``keep_alive`` so a
-        process that evaluates repeatedly reuses one warm worker pool.
+        A shared-memory transport parks its worker pool on close, so a
+        process that evaluates repeatedly reuses one warm pool.
         """
         if decision.transport == "serial":
             from repro.sampling.parallel import SerialTransport
 
             return SerialTransport()
-        if decision.transport == "pool":
-            from repro.sampling.parallel import ProcessPoolTransport
-
-            return ProcessPoolTransport(decision.workers, keep_alive=True)
         if decision.transport == "shm":
             from repro.sampling.shm import SharedMemoryTransport
 
-            return SharedMemoryTransport(decision.workers, keep_alive=True)
+            return SharedMemoryTransport(decision.workers)
         if decision.transport == "rpc":
             from repro.sampling.rpc import SocketRPCTransport
 

@@ -876,9 +876,9 @@ class SocketRPCTransport(ShardTransport):
     # ------------------------------------------------------------------ #
     # Binding and snapshot packaging
     # ------------------------------------------------------------------ #
-    def bind(self, offsets, positions, *, snapshot=None) -> None:
+    def bind(self, offsets, positions) -> None:
         """Attach to a CSR index; nodes catch up lazily by content address."""
-        super().bind(offsets, positions, snapshot=snapshot)
+        super().bind(offsets, positions)
         self._digest = None
         self._package = None
 

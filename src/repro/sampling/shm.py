@@ -1,21 +1,21 @@
-"""Shared-memory shard transport: zero-serialization CSR views on one host.
+"""Shared-memory shard transport: the one local multiprocess transport.
 
-:class:`SharedMemoryTransport` is the planner's single-host latency attack.
-On :meth:`~repro.sampling.parallel.ShardTransport.bind` it copies the frozen
-CSR index once into named ``multiprocessing.shared_memory`` segments; worker
-processes then map those segments directly and build zero-copy
-``numpy.ndarray`` views over them — no per-task array pickling, no
-copy-on-write page faults, and (unlike the fork-pool registry) no coupling
-between the pool's lifetime and any particular graph:
+:class:`SharedMemoryTransport` runs shard tasks on local worker processes;
+it is what ``ParallelSamplingExecutor(workers=N)`` and ``--workers N``
+build.  On :meth:`~repro.sampling.parallel.ShardTransport.bind` it copies
+the frozen CSR index once into named ``multiprocessing.shared_memory``
+segments; worker processes then map those segments directly and build
+zero-copy ``numpy.ndarray`` views over them — no per-task array pickling,
+no copy-on-write page faults, and no coupling between the pool's lifetime
+and any particular graph:
 
 * the *attachment descriptor* (segment names, dtypes, shapes) travels with
   every task, so one warm pool serves successive binds to different graphs;
 * workers keep a small bounded cache of attached segments keyed by segment
   name, so successive rounds over the same graph attach exactly once;
-* with ``keep_alive=True`` (the default — this transport exists to be
-  reused) :meth:`close` parks the worker pool in a module registry and the
-  next transport for the same worker count adopts it, skipping process
-  startup entirely.
+* :meth:`close` parks the worker pool in a module registry and the next
+  transport for the same worker count adopts it, skipping process startup
+  entirely (:func:`shutdown_warm_pools` releases parked pools).
 
 The segments hold only the public CSR index (offsets + positions) — labels
 never enter shared memory, mirroring the other transports' trust model.
@@ -51,25 +51,36 @@ __all__ = ["SharedMemoryTransport", "shutdown_warm_pools"]
 _log = get_logger("sampling.shm")
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Open an existing segment without registering it for cleanup.
+#: Whether this worker runs its own resource tracker rather than sharing the
+#: master's; decided before its first attachment registers anything.
+_OWN_TRACKER: bool | None = None
 
-    The master owns segment lifetime (it unlinks on close).  Worker-side
-    resource tracking would try to unlink the same name again at worker
-    exit and emit spurious "leaked shared_memory" warnings on 3.11/3.12,
-    so attachments opt out of tracking where the API allows it and
-    unregister manually otherwise.
+
+def _attach_segment(name: str) -> shared_memory.SharedMemory:
+    """Open an existing segment without leaving it registered for cleanup.
+
+    The master owns segment lifetime (it unlinks on close).  Python 3.13+
+    attaches with ``track=False``.  Older versions register every attach
+    with the resource tracker.  Fork and spawn workers inherit the
+    master's tracker, whose registry is a set: the attach re-adds a name
+    the master already holds, and the master's ``unlink()`` removes it
+    once.  Unregistering here as well would make that removal fail with a
+    ``KeyError`` traceback on stderr.  Only a worker that started its own
+    tracker must unregister, or that tracker would unlink the segment
+    (and warn about a leak) when the worker exits.
     """
+    global _OWN_TRACKER
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13: no track= parameter
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            from multiprocessing import resource_tracker
+        from multiprocessing import resource_tracker
 
+        if _OWN_TRACKER is None:
+            inherited = getattr(resource_tracker._resource_tracker, "_fd", None)  # noqa: SLF001
+            _OWN_TRACKER = inherited is None
+        segment = shared_memory.SharedMemory(name=name)
+        if _OWN_TRACKER:
             resource_tracker.unregister(segment._name, "shared_memory")  # noqa: SLF001
-        except Exception:  # pragma: no cover - tracker internals moved
-            pass
         return segment
 
 
@@ -157,21 +168,21 @@ class SharedMemoryTransport(ShardTransport):
     ----------
     workers:
         Worker process count (also the transport's natural shard count).
-    keep_alive:
-        When true (default), :meth:`close` parks the pool for adoption by
-        the next ``SharedMemoryTransport`` with the same worker count
-        instead of shutting it down.  Because the attachment descriptor
-        rides on every task, an adopted pool serves *any* graph — the
-        per-graph state lives in the named segments, not the processes.
+
+    :meth:`close` parks the pool for adoption by the next
+    ``SharedMemoryTransport`` with the same worker count instead of shutting
+    it down (at most one parked pool per worker count).  Because the
+    attachment descriptor rides on every task, an adopted pool serves *any*
+    graph — the per-graph state lives in the named segments, not the
+    processes.
     """
 
     kind = "shm"
 
-    def __init__(self, workers: int, *, keep_alive: bool = True) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         self.workers = int(workers)
-        self.keep_alive = bool(keep_alive)
         self._pool: ProcessPoolExecutor | None = None
         self._segments: list[shared_memory.SharedMemory] = []
         self._descriptor: dict | None = None
@@ -180,9 +191,9 @@ class SharedMemoryTransport(ShardTransport):
     def default_shards(self) -> int | None:
         return self.workers
 
-    def bind(self, offsets, positions, *, snapshot=None) -> None:
+    def bind(self, offsets, positions) -> None:
         self._release_segments()
-        super().bind(offsets, positions, snapshot=snapshot)
+        super().bind(offsets, positions)
         key = uuid.uuid4().hex[:12]
         descriptor: dict = {"key": key}
         for index, (field, source) in enumerate((("offsets", offsets), ("positions", positions))):
@@ -219,7 +230,7 @@ class SharedMemoryTransport(ShardTransport):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            parked = _WARM_SHM_POOLS.pop(self.workers, None) if self.keep_alive else None
+            parked = _WARM_SHM_POOLS.pop(self.workers, None)
             if parked is not None:
                 obs_metrics.counter("sampling_warm_pool_reuse_total", kind=self.kind).inc()
                 self._pool = parked
@@ -238,7 +249,7 @@ class SharedMemoryTransport(ShardTransport):
     def close(self) -> None:
         self._release_segments()
         if self._pool is not None:
-            if self.keep_alive and self.workers not in _WARM_SHM_POOLS:
+            if self.workers not in _WARM_SHM_POOLS:
                 _WARM_SHM_POOLS[self.workers] = self._pool
             else:
                 self._pool.shutdown(wait=True)

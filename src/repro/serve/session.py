@@ -24,10 +24,10 @@ Specs
 ``moe``/``confidence``/``second_stage_size``
     Quality knobs, as on the CLI.
 ``engine``
-    Optional transport-fleet request: ``{"transport": "serial"|"pool"|
-    "shm"|"rpc", "workers": N, "shards": N, "nodes": [...], "rpc_window":
-    N}``.  Shards are part of the random-stream identity; the transport
-    only decides where the fixed plan executes.
+    Optional transport-fleet request: ``{"transport": "serial"|"shm"|"rpc",
+    "workers": N, "shards": N, "nodes": [...], "rpc_window": N}``.  Shards
+    are part of the random-stream identity; the transport only decides
+    where the fixed plan executes.
 
 Checkpoints
 -----------
@@ -61,7 +61,15 @@ CHECKPOINT_FORMAT = 1
 
 _DATASETS = ("nell", "yago", "movie", "movie-syn")
 _EVALUATORS = ("rs", "ss")
-_ENGINE_TRANSPORTS = ("serial", "pool", "shm", "rpc")
+_ENGINE_TRANSPORTS = ("serial", "shm", "rpc")
+
+
+def _check_engine_transport(kind) -> None:
+    """Reject an unknown engine transport (also a legacy ``"pool"``)."""
+    if kind is not None and kind not in _ENGINE_TRANSPORTS:
+        raise ValueError(
+            f"spec.engine.transport must be one of {_ENGINE_TRANSPORTS}, got {kind!r}"
+        )
 
 
 def normalise_spec(spec) -> dict:
@@ -95,11 +103,7 @@ def normalise_spec(spec) -> dict:
     if engine is not None:
         if not isinstance(engine, dict):
             raise ValueError("spec.engine must be a dict")
-        kind = engine.get("transport")
-        if kind is not None and kind not in _ENGINE_TRANSPORTS:
-            raise ValueError(
-                f"spec.engine.transport must be one of {_ENGINE_TRANSPORTS}, got {kind!r}"
-            )
+        _check_engine_transport(engine.get("transport"))
         out["engine"] = {
             key: engine[key]
             for key in ("transport", "workers", "shards", "nodes", "rpc_window")
@@ -174,11 +178,6 @@ def _engine_extra(engine: dict | None, fleet_secret) -> dict:
         extra["transport"] = SocketRPCTransport(
             nodes, secret=fleet_secret, window=int(engine.get("rpc_window", 4))
         )
-    elif kind == "pool":
-        from repro.sampling.parallel import ParallelSamplingExecutor, ProcessPoolTransport
-
-        count = int(workers or ParallelSamplingExecutor.default_workers())
-        extra["transport"] = ProcessPoolTransport(count, keep_alive=True)
     elif kind == "shm":
         from repro.sampling.parallel import ParallelSamplingExecutor
         from repro.sampling.shm import SharedMemoryTransport
@@ -348,6 +347,7 @@ def restore_session(path: str | Path, base_for) -> Session:
             f"serve checkpoint format v{version} is newer than supported v{CHECKPOINT_FORMAT}"
         )
     spec = payload["spec"]
+    _check_engine_transport((spec.get("engine") or {}).get("transport"))
     base, _labels = base_for(spec)
     extra = _engine_extra(spec.get("engine"), None)
     evaluator = restore_evaluator(

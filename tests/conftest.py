@@ -29,6 +29,18 @@ def pytest_addoption(parser: pytest.Parser) -> None:
     )
 
 
+@pytest.fixture(autouse=True)
+def _hermetic_planner_profile(tmp_path, monkeypatch) -> None:
+    """Point the planner's calibration profile at the test's tmp dir.
+
+    Multi-shard ``evaluate`` runs fold their wall-clock into the profile and
+    save it; without this, the suite would rewrite the developer's
+    ``~/.cache/repro/planner.json`` and later tests would plan from it.
+    Subprocesses started by a test inherit the redirect.
+    """
+    monkeypatch.setenv("REPRO_PLANNER_PROFILE", str(tmp_path / "planner.json"))
+
+
 @pytest.hookimpl(wrapper=True)
 def pytest_runtest_call(item: pytest.Item):
     """Enforce ``@pytest.mark.timeout(N)`` as a hard SIGALRM deadline.

@@ -1,7 +1,7 @@
 """Property-based parity: parallel draws == serial position surface.
 
 For random graphs, random seeds and every shard count K ∈ {1, 2, 4, 7}, a
-pool-executed sharded run must produce bit-identical estimates *and* Eq. (4)
+worker-executed (shared-memory) sharded run must produce bit-identical estimates *and* Eq. (4)
 cost accounting to the serial execution of the same plan, on both storage
 backends (the in-memory store's cached CSR and the columnar store's frozen
 index yield the same draws).

@@ -2,12 +2,18 @@
 
 The engine's contract (see :mod:`repro.sampling.parallel`): for a fixed
 ``(graph, labels, design, plan, seed)`` the estimates and Eq. (4) cost are
-bit-identical whether shard tasks run in-process, on a 2-worker pool or a
-3-worker pool, on either storage backend.  Pool-backed tests carry the
-``parallel`` marker so CI can run them as a dedicated leg.
+bit-identical whether shard tasks run in-process or on 2 or 3 shared-memory
+worker processes, on either storage backend.  Tests that start worker
+processes carry the ``parallel`` marker so CI can run them as a dedicated
+leg.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +107,14 @@ class TestSerialEngine:
                 srs.step(1000)
             assert srs.estimate().num_triples == data.graph.num_triples
             assert srs.estimate().value == pytest.approx(labels.mean())
+
+    def test_default_workers_follows_cpu_affinity(self, monkeypatch):
+        # A container pinned to 2 CPUs of a 64-core host must not start 8.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert ParallelSamplingExecutor.default_workers() == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert ParallelSamplingExecutor.default_workers() == 8
 
     def test_interleaved_executors_on_one_transport_are_rejected(self, labelled):
         """A re-bound transport must refuse the stale executor, not mis-draw."""
@@ -259,7 +273,7 @@ class TestNeymanAllocation:
 
 @pytest.mark.parallel
 class TestPoolParity:
-    """Process-pool execution is bit-identical to the serial reference."""
+    """Worker-process execution is bit-identical to the serial reference."""
 
     @pytest.mark.parametrize("design", PARALLEL_DESIGNS)
     def test_pool_matches_serial(self, labelled, design):
@@ -359,20 +373,21 @@ class TestPoolParity:
             assert ref.shape[0] == min(5, int(sizes[row]))
 
     def test_pool_transport_rebind_refreshes_worker_attachment(self, labelled):
-        """Reusing one ProcessPoolTransport across graphs must re-attach.
+        """Reusing one worker transport across graphs must re-attach.
 
-        The pool workers captured the first graph's CSR at creation; binding
-        a second executor tears the stale pool down so the second run can
-        never draw from the wrong index.
+        The workers keep the first graph's segments mapped in their cache;
+        binding a second executor publishes fresh segments under a new
+        descriptor key, so the second run can never draw from the wrong
+        index.
         """
         from repro.generators.datasets import make_yago_like
-        from repro.sampling.parallel import ProcessPoolTransport
+        from repro.sampling.shm import SharedMemoryTransport
 
         data, labels = labelled
         other = make_yago_like(seed=0)
         other_graph = other.graph.to_columnar()
         other_labels = other.oracle.as_position_array(other_graph)
-        transport = ProcessPoolTransport(2)
+        transport = SharedMemoryTransport(2)
         try:
             for graph, label_array in (
                 (data.graph, labels),
@@ -396,74 +411,12 @@ class TestPoolParity:
         snap = tmp_path / "kg-dir"
         data.graph.save_snapshot(snap)
         inherited = _run_result(data.graph, labels, "twcs", workers=2, num_shards=4, seed=5)
-        with ParallelSamplingExecutor(
-            data.graph, workers=2, num_shards=4, snapshot=snap
-        ) as executor:
+        # Graph-less: the executor loads the CSR columns from the snapshot.
+        with ParallelSamplingExecutor(workers=2, num_shards=4, snapshot=snap) as executor:
             run = executor.run("twcs", labels, seed=5)
             while run.num_units < 250:
                 run.step(50)
             assert (run.estimate(), run.cost_summary()) == inherited[:2]
-
-
-@pytest.mark.parallel
-class TestPoolWarmRegistry:
-    """keep_alive parking: pinning, adoption, and the bounded LRU."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_registry(self):
-        from repro.sampling import parallel
-
-        parallel.shutdown_warm_pools()
-        yield
-        parallel.shutdown_warm_pools()
-
-    def _run(self, graph, labels, transport, seed=13):
-        with ParallelSamplingExecutor(graph, num_shards=2, transport=transport) as executor:
-            run = executor.run("twcs", labels, seed=seed)
-            run.step(40)
-            return run.estimate()
-
-    def test_park_pins_arrays_and_adoption_matches_serial(self, labelled):
-        from repro.sampling import parallel
-        from repro.sampling.parallel import ProcessPoolTransport
-
-        data, labels = labelled
-        first = self._run(data.graph, labels, ProcessPoolTransport(2, keep_alive=True))
-        assert len(parallel._WARM_POOLS) == 1
-        # The parked entry itself holds strong references to the bound CSR
-        # arrays (not just the fork-mode registry): this is what keeps the
-        # id()-based warm key unambiguous under every start method.
-        ((key, (_pool, _attach, pinned)),) = parallel._WARM_POOLS.items()
-        offsets, positions = data.graph.backend.csr_arrays()
-        assert pinned[0] is offsets and pinned[1] is positions
-        assert key[2] == id(offsets) and key[3] == id(positions)
-        second = self._run(data.graph, labels, ProcessPoolTransport(2, keep_alive=True))
-        assert second == first
-        serial = self._run(data.graph, labels, None)
-        assert second == serial
-
-    def test_registry_is_lru_bounded(self, labelled):
-        from repro.generators.datasets import make_yago_like
-        from repro.sampling import parallel
-        from repro.sampling.parallel import ProcessPoolTransport
-
-        data, labels = labelled
-        graphs = [(data.graph, labels)]
-        for seed in (1, 2):
-            other = make_yago_like(seed=seed)
-            graph = other.graph.to_columnar()
-            graphs.append((graph, other.oracle.as_position_array(graph)))
-        for graph, graph_labels in graphs:
-            self._run(graph, graph_labels, ProcessPoolTransport(2, keep_alive=True))
-        # Three graphs parked three pools; the cap keeps only the newest
-        # two alive (plus their registry attachments).
-        assert len(parallel._WARM_POOLS) == parallel._WARM_POOL_LIMIT == 2
-        assert len(parallel._ATTACH_REGISTRY) <= parallel._WARM_POOL_LIMIT
-        newest_two = {
-            (id(graph.backend.csr_arrays()[0]), id(graph.backend.csr_arrays()[1]))
-            for graph, _ in graphs[-2:]
-        }
-        assert {key[2:] for key in parallel._WARM_POOLS} == newest_two
 
 
 @pytest.mark.parallel
@@ -534,10 +487,41 @@ class TestCliWorkers:
             assert code == 0
             outputs.append(
                 capsys.readouterr().out.replace("transport=serial", "transport=X").replace(
-                    "transport=pool", "transport=X"
+                    "transport=shm", "transport=X"
                 )
             )
         assert outputs[0] == outputs[1]
+
+    def test_evaluate_shm_workers_keeps_stderr_empty(self):
+        """A successful shm run must not leak resource-tracker tracebacks.
+
+        Workers share the master's resource tracker; a second unregister of
+        a segment name prints a ``KeyError`` traceback from the tracker
+        process even though the command succeeds.
+        """
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "evaluate",
+                "--dataset",
+                "nell",
+                "--transport",
+                "shm",
+                "--workers",
+                "2",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "transport=shm" in completed.stdout
+        assert completed.stderr == ""
 
     def test_monitor_workers_smoke(self):
         code = cli_main(

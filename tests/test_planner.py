@@ -32,7 +32,6 @@ def _fixed_profile() -> CalibrationProfile:
     return CalibrationProfile(
         transports={
             "serial": TransportCost(per_draw_us=10.0, round_overhead_ms=0.0, startup_ms=0.0),
-            "pool": TransportCost(per_draw_us=10.0, round_overhead_ms=2.0, startup_ms=300.0),
             "shm": TransportCost(per_draw_us=10.0, round_overhead_ms=1.0, startup_ms=100.0),
             "rpc": TransportCost(per_draw_us=10.0, round_overhead_ms=5.0, startup_ms=500.0),
         }
@@ -63,11 +62,11 @@ class TestDecisions:
         planner = AdaptivePlanner(_fixed_profile(), cpu_count=8)
         decision = planner.plan(_stats(), draws=500_000)
         # 500k draws at 10us: serial 5s; shm ~0.1s startup + 5s/6.25 — an
-        # easy >1.25x win, and shm beats pool on both overhead terms.
+        # easy >1.25x win.  shm is the only local parallel candidate.
         assert decision.transport == "shm"
         assert decision.workers == 8
         assert decision.shards == 8
-        assert decision.predictions["shm"] < decision.predictions["pool"]
+        assert list(decision.predictions) == ["serial", "shm"]
 
     def test_skewed_graph_shards_finer(self):
         planner = AdaptivePlanner(_fixed_profile(), cpu_count=8)
@@ -189,13 +188,24 @@ class TestProfilePersistence:
         assert target is not None
         loaded = load_profile(target)
         assert loaded.min_speedup == 1.5
-        assert loaded.cost("pool").startup_ms == 300.0
+        assert loaded.cost("shm").startup_ms == 100.0
 
     def test_env_override_sets_default_path(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PLANNER_PROFILE", str(tmp_path / "custom.json"))
         assert default_profile_path() == tmp_path / "custom.json"
         save_profile(_fixed_profile())
         assert (tmp_path / "custom.json").exists()
+
+    def test_legacy_pool_entry_is_dropped_on_load(self, tmp_path):
+        legacy = _fixed_profile().to_dict()
+        legacy["transports"]["pool"] = {"per_draw_us": 1.0, "startup_ms": 260.0}
+        path = tmp_path / "planner.json"
+        path.write_text(json.dumps(legacy), encoding="utf-8")
+        profile = load_profile(path)
+        assert "pool" not in profile.transports
+        assert profile.cost("shm").startup_ms == 100.0
+        decision = AdaptivePlanner(profile, cpu_count=8).plan(_stats(), draws=500_000)
+        assert "pool" not in decision.predictions
 
     def test_corrupt_profile_falls_back_to_defaults(self, tmp_path):
         bad = tmp_path / "planner.json"
@@ -216,13 +226,13 @@ class TestProfilePersistence:
     def test_observe_warm_keeps_startup_out_of_the_residual(self):
         cold, warm = _fixed_profile(), _fixed_profile()
         kwargs = dict(draws=10_000, rounds=2, seconds=1.0, workers=4)
-        cold.observe("pool", warm=False, **kwargs)
-        warm.observe("pool", warm=True, **kwargs)
+        cold.observe("shm", warm=False, **kwargs)
+        warm.observe("shm", warm=True, **kwargs)
         # A warm run never paid the startup cost, so nothing is subtracted
         # and more of the wall-clock is attributed to per-draw time —
         # without this, repeated warm runs bias per_draw_us low and the
         # planner grows spuriously optimistic about leaving serial.
-        assert warm.cost("pool").per_draw_us > cold.cost("pool").per_draw_us
+        assert warm.cost("shm").per_draw_us > cold.cost("shm").per_draw_us
 
     def test_calibrate_from_bench(self):
         profile = CalibrationProfile()
@@ -230,15 +240,15 @@ class TestProfilePersistence:
             {
                 "draws": 100_000,
                 "engine_serial": {"seconds": 1.0},
-                "engine_pool": {"seconds": 2.0, "workers": 4},
+                "engine_shm": {"seconds": 2.0, "workers": 4},
             }
         )
-        assert updated == ["serial", "pool"]
+        assert updated == ["serial", "shm"]
         assert profile.cost("serial").per_draw_us == pytest.approx(10.0)
-        # Pool's measured excess over its predicted draw share becomes
-        # startup + per-round overhead, so small runs now avoid the pool.
-        assert profile.cost("pool").startup_ms > 1_000.0
-        assert profile.cost("pool").per_draw_us == pytest.approx(10.0)
+        # shm's measured excess over its predicted draw share becomes
+        # startup + per-round overhead, so small runs now stay serial.
+        assert profile.cost("shm").startup_ms > 1_000.0
+        assert profile.cost("shm").per_draw_us == pytest.approx(10.0)
 
 
 class TestBackendStats:
@@ -304,7 +314,6 @@ class TestAutoParity:
             transports={
                 "serial": TransportCost(per_draw_us=50.0, round_overhead_ms=0.0, startup_ms=0.0),
                 "shm": TransportCost(per_draw_us=50.0, round_overhead_ms=0.0, startup_ms=0.0),
-                "pool": TransportCost(per_draw_us=50.0, round_overhead_ms=0.0, startup_ms=0.0),
             },
             min_speedup=1.0,
         )

@@ -221,3 +221,35 @@ def test_draining_server_refuses_new_work(server):
         with pytest.raises(ServeRequestError) as excinfo:
             client.attach(_spec("ss"), session="too-late")
         assert excinfo.value.code == "draining"
+
+
+# --------------------------------------------------------------------------- #
+# Legacy engine requests
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("source", ["attach", "checkpoint"])
+def test_legacy_pool_engine_is_a_typed_error(tmp_path, source):
+    """``engine.transport: "pool"`` (the removed fork pool) fails typed."""
+    import pickle
+
+    from repro.serve import session as sessions_mod
+
+    spec = dict(_spec("ss"), engine={"transport": "pool", "workers": 2})
+    with pytest.raises(ValueError, match=r"spec\.engine\.transport must be one of"):
+        if source == "attach":
+            sessions_mod.normalise_spec(spec)
+        else:
+            path = tmp_path / "legacy.ckpt"
+            payload = {
+                "format": sessions_mod.CHECKPOINT_FORMAT,
+                "session": "legacy",
+                "spec": spec,
+                "seed": _SEED,
+                "state": None,
+                "records": [],
+            }
+            path.write_bytes(pickle.dumps(payload))
+
+            def base_for(_spec):
+                raise AssertionError("the spec is rejected before any graph is built")
+
+            sessions_mod.restore_session(path, base_for)

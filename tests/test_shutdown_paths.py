@@ -2,7 +2,7 @@
 
 The three hardened paths this PR fixed are each pinned here:
 
-* ``shutdown_warm_pools`` (fork-pool and shm registries) must release every
+* ``shutdown_warm_pools`` (the shm warm-pool registry) must release every
   parked pool even when one of them raises from ``shutdown()`` (children
   already dead), and must be idempotent — a draining ``repro serve`` daemon
   calls it explicitly and the ``atexit`` hook runs over the emptied
@@ -22,7 +22,7 @@ import socket
 import pytest
 
 from repro.obs import metrics as obs_metrics
-from repro.sampling import parallel, rpc, shm
+from repro.sampling import rpc, shm
 from repro.storage.distribute import SnapshotCache
 
 
@@ -47,16 +47,6 @@ class _ExplodingPool(_FakePool):
 # --------------------------------------------------------------------------- #
 # Warm-pool sweeps
 # --------------------------------------------------------------------------- #
-def test_fork_pool_sweep_survives_a_dead_pool():
-    healthy, dead = _FakePool(), _ExplodingPool()
-    parallel._WARM_POOLS[("test", "dead")] = (dead, None, ())
-    parallel._WARM_POOLS[("test", "healthy")] = (healthy, None, ())
-    parallel.shutdown_warm_pools()  # must not raise
-    assert not parallel._WARM_POOLS
-    assert dead.shutdowns == 1
-    assert healthy.shutdowns == 1  # the corpse did not stop the sweep
-
-
 def test_shm_pool_sweep_survives_a_dead_pool():
     healthy, dead = _FakePool(), _ExplodingPool()
     shm._WARM_SHM_POOLS[97] = dead
@@ -64,18 +54,14 @@ def test_shm_pool_sweep_survives_a_dead_pool():
     shm.shutdown_warm_pools()  # must not raise
     assert not shm._WARM_SHM_POOLS
     assert dead.shutdowns == 1
-    assert healthy.shutdowns == 1
+    assert healthy.shutdowns == 1  # the corpse did not stop the sweep
 
 
 def test_warm_pool_sweeps_are_idempotent():
-    pool = _FakePool()
-    parallel._WARM_POOLS[("test", "once")] = (pool, None, ())
     shm_pool = _FakePool()
     shm._WARM_SHM_POOLS[99] = shm_pool
     for _ in range(3):  # explicit drain + atexit re-run + paranoia
-        parallel.shutdown_warm_pools()
         shm.shutdown_warm_pools()
-    assert pool.shutdowns == 1
     assert shm_pool.shutdowns == 1
 
 

@@ -4,8 +4,9 @@ Every test here spins actual ``repro worker`` subprocesses on loopback
 sockets with tmpdir snapshot caches and checks the transport contract end
 to end: for any shard count K ∈ {1, 2, 4, 7}, 1–3 localhost nodes and any
 pipelining window, a :class:`SocketRPCTransport` run is **bit-identical**
-to the :class:`SerialTransport` and :class:`ProcessPoolTransport`
-executions of the same plan, on both storage backends — including when a
+to the :class:`SerialTransport` and
+:class:`~repro.sampling.shm.SharedMemoryTransport` executions of the same
+plan, on both storage backends — including when a
 node is SIGKILLed mid-run and its tasks are reassigned, when an idle node
 steals from a deliberately slowed one, when a worker joins mid-run through
 the registration listener, and including the pinned golden trajectory.

@@ -2,7 +2,7 @@
 
 :class:`~repro.sampling.shm.SharedMemoryTransport` must replay the serial
 engine bit for bit (the universal transport contract), adopt its parked
-keep-alive pool across binds, and serve successive *different* graphs from
+pool across binds, and serve successive *different* graphs from
 one pool because the attachment descriptor travels per task.  Everything
 here spawns worker processes, so the module carries the ``parallel`` marker
 and runs in CI's dedicated parallel leg.
@@ -90,12 +90,6 @@ class TestWarmPools:
         adopted = _run_result(other_graph, other_labels, transport=SharedMemoryTransport(2))
         assert adopted[0] == reference[0]
         assert adopted[1] == reference[1]
-
-    def test_keep_alive_false_shuts_down(self, labelled):
-        data, labels = labelled
-        transport = SharedMemoryTransport(2, keep_alive=False)
-        _run_result(data.graph, labels, transport=transport)
-        assert 2 not in shm._WARM_SHM_POOLS
 
     def test_shutdown_warm_pools_drains_the_registry(self, labelled):
         data, labels = labelled
