@@ -184,9 +184,15 @@ class IncrementalEvaluator(ABC):
                 self._labels = base.oracle.as_position_array(base.graph)
             self._account: PositionAnnotationAccount | None = PositionAnnotationAccount(cost_model)
         else:
-            self.oracle = LabelOracle(base.oracle.as_dict())
+            # A private copy (the oracle is extended per batch) that keeps the
+            # base oracle's strictness.
+            self.oracle = LabelOracle(base.oracle.mapping, strict=base.oracle.strict)
             self._labels = None
             self._account = None
+        # Object mode only: number of triples of the evolved graph the oracle
+        # labels correct.  Built by one full pass on the first
+        # current_true_accuracy() read, then kept current by _register_update.
+        self._true_correct: int | None = None
         self.annotator = SimulatedAnnotator(self.oracle, cost_model=cost_model, seed=seed)
         self.history: list[UpdateEvaluation] = []
         # Cost charged in annotator sessions that have since been reset (only
@@ -251,10 +257,47 @@ class IncrementalEvaluator(ABC):
         """Record the batch in the evolving graph and extend the oracle.
 
         Returns the per-triple added flags (``False`` for duplicates the
-        graph already contained).
+        graph already contained).  Once the ground-truth count exists it is
+        brought up to date here in O(|batch| + |batch oracle|).
         """
+        correct = self._true_correct
+        # Dropped until the update is fully counted: a strict lookup that
+        # raises below leaves it for the next read to rebuild.
+        self._true_correct = None
+        if correct is not None:
+            correct += self._relabel_delta(batch_oracle)
         self.oracle.extend(batch_oracle)
-        return self.evolving.apply(batch)
+        flags = self.evolving.apply(batch)
+        if correct is not None:
+            label = self.oracle.label
+            try:
+                correct += sum(
+                    1 for triple, added in zip(batch.triples, flags) if added and label(triple)
+                )
+            except KeyError:
+                return flags
+            self._true_correct = correct
+        return flags
+
+    def _relabel_delta(self, batch_oracle: LabelOracle) -> int:
+        """Change in the correct count when ``batch_oracle`` relabels graph triples.
+
+        Batch labels win on conflict, so a triple already in the graph whose
+        label flips moves the count by one.  Runs before the oracle is
+        extended and the batch applied.
+        """
+        labels = self.oracle.mapping
+        # Unknown triples count as correct under a non-strict oracle.  Under
+        # a strict one the existing count proves every graph triple is
+        # labelled, so an unknown triple cannot be in the graph.
+        default = None if self.oracle.strict else True
+        graph = self.evolving.current
+        delta = 0
+        for triple, new in batch_oracle.mapping.items():
+            old = labels.get(triple, default)
+            if old is not None and bool(old) != bool(new) and triple in graph:
+                delta += 1 if new else -1
+        return delta
 
     def _append_update(self, batch: UpdateBatch, batch_oracle: LabelOracle) -> PositionSegment:
         """Position-mode twin of :meth:`_register_update`.
@@ -281,14 +324,21 @@ class IncrementalEvaluator(ABC):
     def current_true_accuracy(self) -> float:
         """Exact accuracy of the evolved graph under the ground truth.
 
-        O(1)-ish in position mode (one array mean); one O(M) oracle pass in
-        object mode.
+        One array mean in position mode.  In object mode an O(1) read of the
+        running correct-triple count; only the first read (or the first after
+        a strict lookup failed mid-batch) builds it with one O(M) oracle pass.
+        Either way the value equals ``oracle.true_accuracy(evolving.current)``.
         """
         if self._labels is not None:
             if self._labels.shape[0] == 0:
                 return 0.0
             return float(self._labels.mean())
-        return self.oracle.true_accuracy(self.evolving.current)
+        graph = self.evolving.current
+        if self._true_correct is None:
+            self._true_correct = self.oracle.count_correct(graph)
+        if graph.num_triples == 0:
+            return 0.0
+        return self._true_correct / graph.num_triples
 
     # ------------------------------------------------------------------ #
     # Unified cost accounting across surfaces

@@ -60,7 +60,8 @@ class EvolvingAccuracyMonitor:
         self.records: list[MonitorRecord] = []
 
     def _true_accuracy(self) -> float:
-        # One array mean in position mode; a full oracle pass in object mode.
+        # One array mean in position mode; a running correct-triple count in
+        # object mode (one full oracle pass on the first read only).
         return self.evaluator.current_true_accuracy()
 
     def evaluate_base(self) -> MonitorRecord:

@@ -16,6 +16,10 @@ from repro.kg.triple import Triple
 
 __all__ = ["LabelOracle"]
 
+# Default for ``dict.get`` in :meth:`LabelOracle.label`, so a single lookup
+# (one Triple hash) tells a missing triple from a stored label.
+_MISSING = object()
+
 
 class LabelOracle:
     """Maps each triple to its true correctness label.
@@ -40,8 +44,9 @@ class LabelOracle:
     # ------------------------------------------------------------------ #
     def label(self, triple: Triple) -> bool:
         """Return the correctness label of ``triple``."""
-        if triple in self._labels:
-            return self._labels[triple]
+        value = self._labels.get(triple, _MISSING)
+        if value is not _MISSING:
+            return value
         if self._strict:
             raise KeyError(f"no ground-truth label for {triple}")
         return True
@@ -49,6 +54,11 @@ class LabelOracle:
     def labels_for(self, triples: Iterable[Triple]) -> list[bool]:
         """Return labels for a sequence of triples, preserving order."""
         return [self.label(triple) for triple in triples]
+
+    @property
+    def strict(self) -> bool:
+        """Whether unknown triples raise ``KeyError`` (else they count as correct)."""
+        return self._strict
 
     @property
     def mapping(self) -> Mapping[Triple, bool]:
@@ -83,12 +93,15 @@ class LabelOracle:
     # ------------------------------------------------------------------ #
     # Population-level quantities (used by tests and oracle stratification)
     # ------------------------------------------------------------------ #
+    def count_correct(self, graph: KnowledgeGraph) -> int:
+        """Number of triples of ``graph`` labelled correct (one O(M) pass)."""
+        return sum(1 for triple in graph if self.label(triple))
+
     def true_accuracy(self, graph: KnowledgeGraph) -> float:
         """The exact population accuracy ``µ(G)`` under this oracle."""
         if graph.num_triples == 0:
             return 0.0
-        correct = sum(1 for triple in graph if self.label(triple))
-        return correct / graph.num_triples
+        return self.count_correct(graph) / graph.num_triples
 
     def cluster_accuracy(self, graph: KnowledgeGraph, entity_id: str) -> float:
         """The exact accuracy ``µ_i`` of one entity cluster."""

@@ -10,6 +10,7 @@ to zero width whenever a small sample happens to contain no errors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +66,13 @@ def normal_critical_value(confidence_level: float) -> float:
     """
     if not 0.0 < confidence_level < 1.0:
         raise ValueError(f"confidence_level must be in (0, 1), got {confidence_level}")
+    return _critical_value(confidence_level)
+
+
+@functools.lru_cache(maxsize=64)
+def _critical_value(confidence_level: float) -> float:
+    # Memoised: every MoE check asks for the same few levels, and each
+    # ``norm.ppf`` call costs tens of microseconds.
     alpha = 1.0 - confidence_level
     return float(scipy_stats.norm.ppf(1.0 - alpha / 2.0))
 

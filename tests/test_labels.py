@@ -21,12 +21,25 @@ class TestLabelOracle:
         assert len(oracle) == graph.num_triples
 
     def test_strict_mode_raises_for_unknown(self, toy_oracle):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=r"no ground-truth label for \(ghost, p, o\)"):
             toy_oracle.label(Triple("ghost", "p", "o"))
 
     def test_non_strict_mode_defaults_to_true(self):
         oracle = LabelOracle({}, strict=False)
         assert oracle.label(Triple("ghost", "p", "o")) is True
+        assert oracle.strict is False
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_stored_false_is_returned_in_both_modes(self, strict):
+        wrong = Triple("e1", "p", "o1")
+        oracle = LabelOracle({wrong: False}, strict=strict)
+        assert oracle.label(wrong) is False
+        assert oracle.strict is strict
+
+    def test_count_correct_matches_true_accuracy(self, toy_kg):
+        graph, oracle = toy_kg
+        assert oracle.count_correct(graph) == 8
+        assert oracle.true_accuracy(graph) == 8 / graph.num_triples
 
     def test_labels_for_preserves_order(self, toy_kg):
         graph, oracle = toy_kg

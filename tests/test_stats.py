@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from repro.stats.allocation import (
     cumulative_sqrt_frequency_boundaries,
@@ -33,6 +34,19 @@ class TestConfidenceIntervals:
             normal_critical_value(1.0)
         with pytest.raises(ValueError):
             normal_critical_value(0.0)
+
+    @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_memoised_critical_value_is_bit_identical(self, level):
+        expected = float(scipy_stats.norm.ppf(1.0 - (1.0 - level) / 2.0))
+        assert normal_critical_value(level) == expected
+        assert normal_critical_value(level) == expected
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_bad_level_raises_on_every_call(self, level):
+        # The memo must never cache (or skip) the validation.
+        for _ in range(3):
+            with pytest.raises(ValueError, match="confidence_level"):
+                normal_critical_value(level)
 
     def test_margin_of_error(self):
         assert margin_of_error(0.1, 0.95) == pytest.approx(0.196, abs=1e-3)
