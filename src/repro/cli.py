@@ -311,6 +311,16 @@ def _plan_transport(args: argparse.Namespace, graph, draws_hint: int | None):
     return transport, decision, profile
 
 
+def _profile_named(args: argparse.Namespace) -> bool:
+    """Whether the caller named a calibration profile for the run to learn into.
+
+    Only ``--profile`` or ``REPRO_PLANNER_PROFILE`` opt in; otherwise one
+    run's timing (on whichever backend) would steer every later default
+    run's transport pick through ``~/.cache/repro/planner.json``.
+    """
+    return bool(getattr(args, "profile", None) or os.environ.get("REPRO_PLANNER_PROFILE"))
+
+
 def _auto_planned_shards(args: argparse.Namespace, graph) -> int:
     """The deterministic shard count ``--transport auto`` would run with.
 
@@ -462,9 +472,10 @@ def _cmd_evaluate_parallel(args: argparse.Namespace, data: LabelledKG) -> int:
         estimate, iterations = run.drive(config)
         elapsed = time.perf_counter() - started
         cost = run.cost_summary()
-    if decision is not None and profile is not None:
-        # Fold the measured wall-clock back into the calibration profile so
-        # the next planning decision starts from this run's reality.
+    if decision is not None and profile is not None and _profile_named(args):
+        # Fold the measured wall-clock back into the calibration profile the
+        # caller named, so the next planning decision starts from this run's
+        # reality.  A default run leaves the shared profile as it found it.
         from repro.sampling.planner import save_profile
 
         profile.observe(
@@ -1257,7 +1268,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         default=None,
         help="planner calibration profile path for --transport auto "
-        "(default ~/.cache/repro/planner.json or $REPRO_PLANNER_PROFILE)",
+        "(default ~/.cache/repro/planner.json or $REPRO_PLANNER_PROFILE); "
+        "a sharded run folds its timing into the profile only when this "
+        "option or $REPRO_PLANNER_PROFILE names it",
     )
     _add_rpc_options(evaluate)
     _add_obs_options(evaluate)

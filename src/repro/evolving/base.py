@@ -173,15 +173,16 @@ class IncrementalEvaluator(ABC):
             # extended per batch instead.
             self.oracle = base.oracle
             if position_labels is not None:
-                self._labels = np.asarray(position_labels, dtype=bool)
-                if self._labels.shape[0] != base.graph.num_triples:
+                labels = np.asarray(position_labels, dtype=bool)
+                if labels.shape[0] != base.graph.num_triples:
                     raise ValueError(
                         "position_labels must be aligned with the base graph "
-                        f"({self._labels.shape[0]} labels, "
+                        f"({labels.shape[0]} labels, "
                         f"{base.graph.num_triples} triples)"
                     )
             else:
-                self._labels = base.oracle.as_position_array(base.graph)
+                labels = base.oracle.as_position_array(base.graph)
+            self._set_labels(labels)
             self._account: PositionAnnotationAccount | None = PositionAnnotationAccount(cost_model)
         else:
             # A private copy (the oracle is extended per batch) that keeps the
@@ -299,6 +300,20 @@ class IncrementalEvaluator(ABC):
                 delta += 1 if new else -1
         return delta
 
+    def _set_labels(self, labels: np.ndarray) -> None:
+        """Adopt ``labels`` as the position-mode ground truth.
+
+        ``_labels`` is always the ``[:n]`` view of a buffer that grows by
+        doubling, so appending a batch copies only the batch plus an
+        amortised O(1) share of the regrowths; ``_labels_correct`` counts its
+        ``True`` entries.  Arrays handed out earlier keep their contents:
+        appends only write past their end, and ``labels`` itself is never
+        written (the first append moves to a new buffer).
+        """
+        self._label_buffer = np.asarray(labels, dtype=bool)
+        self._labels = self._label_buffer
+        self._labels_correct = int(np.count_nonzero(self._labels))
+
     def _append_update(self, batch: UpdateBatch, batch_oracle: LabelOracle) -> PositionSegment:
         """Position-mode twin of :meth:`_register_update`.
 
@@ -318,21 +333,31 @@ class IncrementalEvaluator(ABC):
             dtype=bool,
             count=segment.num_triples,
         )
-        self._labels = np.concatenate([self._labels, batch_labels])
+        size = self._labels.shape[0]
+        end = size + batch_labels.shape[0]
+        if end > self._label_buffer.shape[0]:
+            grown = np.empty(max(end, 2 * self._label_buffer.shape[0]), dtype=bool)
+            grown[:size] = self._labels
+            self._label_buffer = grown
+        self._label_buffer[size:end] = batch_labels
+        self._labels = self._label_buffer[:end]
+        self._labels_correct += int(np.count_nonzero(batch_labels))
         return segment
 
     def current_true_accuracy(self) -> float:
         """Exact accuracy of the evolved graph under the ground truth.
 
-        One array mean in position mode.  In object mode an O(1) read of the
-        running correct-triple count; only the first read (or the first after
-        a strict lookup failed mid-batch) builds it with one O(M) oracle pass.
-        Either way the value equals ``oracle.true_accuracy(evolving.current)``.
+        An O(1) read of a running correct-triple count on both surfaces.  In
+        position mode the count is kept with the label array, and the value is
+        the float ``labels.mean()`` returns (a float64 sum of 0/1 values is
+        exact).  In object mode only the first read (or the first after a
+        strict lookup failed mid-batch) builds the count with one O(M) oracle
+        pass, and the value equals ``oracle.true_accuracy(evolving.current)``.
         """
         if self._labels is not None:
             if self._labels.shape[0] == 0:
                 return 0.0
-            return float(self._labels.mean())
+            return self._labels_correct / self._labels.shape[0]
         graph = self.evolving.current
         if self._true_correct is None:
             self._true_correct = self.oracle.count_correct(graph)

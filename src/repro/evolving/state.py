@@ -202,7 +202,7 @@ def restore_evaluator(
     )
 
     # Shared evaluator state: labels, random stream, cost account, history.
-    evaluator._labels = labels
+    evaluator._set_labels(labels)
     evaluator._rng.bit_generator.state = state["rng_state"]
     account = PositionAnnotationAccount(state["cost_model"])
     account._identified = {int(key) for key in state["account"]["identified"]}

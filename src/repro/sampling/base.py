@@ -27,7 +27,15 @@ import numpy as np
 from repro.kg.triple import Triple
 from repro.stats.ci import ConfidenceInterval, normal_interval
 
-__all__ = ["SampleUnit", "PositionUnit", "Estimate", "SamplingDesign", "segment_label_sums"]
+__all__ = [
+    "SampleUnit",
+    "PositionUnit",
+    "Estimate",
+    "SamplingDesign",
+    "segment_label_sums",
+    "weighted_cdf",
+    "draw_weighted",
+]
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,44 @@ def segment_label_sums(
     prefix = np.concatenate(([0.0], np.cumsum(correct)))
     ends = np.cumsum(counts)
     return counts, prefix[ends] - prefix[ends - counts]
+
+
+#: ``Generator.choice``'s tolerance on ``|sum(p) - 1|``.
+_PROBABILITY_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def weighted_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """Validated cumulative distribution for :func:`draw_weighted`.
+
+    Checks ``probabilities`` as ``Generator.choice(p=...)`` does (raising
+    ``ValueError`` for NaN, negative entries or a total other than 1) and
+    builds the CDF exactly as it does, so a design can validate once and
+    reuse the CDF for every draw.
+    """
+    p = np.asarray(probabilities, dtype=np.float64)
+    if p.ndim != 1 or p.shape[0] == 0:
+        raise ValueError("probabilities must be a non-empty 1-dimensional array")
+    total = float(p.sum())
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _PROBABILITY_ATOL:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_weighted(rng: np.random.Generator, cdf: np.ndarray, count: int) -> np.ndarray:
+    """``count`` with-replacement draws from the distribution behind ``cdf``.
+
+    Consumes ``rng`` and returns the indices exactly as
+    ``rng.choice(len(cdf), size=count, replace=True, p=p)`` would for the
+    ``p`` that :func:`weighted_cdf` was built from, without re-validating
+    and re-summing ``p`` on every call.
+    """
+    return cdf.searchsorted(rng.random(count), side="right")
 
 
 @dataclass(frozen=True)

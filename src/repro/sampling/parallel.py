@@ -63,6 +63,7 @@ never leave the master.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -76,7 +77,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger
 from repro.obs.trace import TraceContext
-from repro.sampling.base import Estimate
+from repro.sampling.base import Estimate, draw_weighted, weighted_cdf
 from repro.sampling.planner import available_cpus
 from repro.stats.allocation import (
     largest_remainder,
@@ -272,6 +273,22 @@ def _wor_permutation(perm_seed: np.random.SeedSequence, span: int) -> np.ndarray
     return permutation
 
 
+#: Per-thread scratch generator whose state each task overwrites with its
+#: stream's state; RPC workers serve tasks on threads, so one per thread.
+_SCRATCH = threading.local()
+
+
+def _task_rng(state: dict | None) -> np.random.Generator:
+    """A generator positioned at ``state`` (fresh OS entropy when ``None``)."""
+    if state is None:
+        return np.random.default_rng()
+    rng = getattr(_SCRATCH, "rng", None)
+    if rng is None:
+        rng = _SCRATCH.rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
 def _run_task(task: ShardTask, attached: tuple[np.ndarray, np.ndarray] | None) -> ShardResult:
     started = time.perf_counter()
     # Child span context for this task: observability-only, derived from
@@ -301,9 +318,7 @@ def _run_task(task: ShardTask, attached: tuple[np.ndarray, np.ndarray] | None) -
         positions = positions_g
         row_base = 0
 
-    rng = np.random.default_rng()
-    if task.rng_state is not None:
-        rng.bit_generator.state = task.rng_state
+    rng = _task_rng(task.rng_state)
 
     design = task.design
     cursor = task.cursor
@@ -329,7 +344,7 @@ def _run_task(task: ShardTask, attached: tuple[np.ndarray, np.ndarray] | None) -
     elif design in ("wcs", "twcs"):
         weights = sizes_all.astype(np.float64)
         weights /= weights.sum()
-        local = rng.choice(num_rows, size=task.count, replace=True, p=weights)
+        local = draw_weighted(rng, weighted_cdf(weights), task.count)
         cap = None if design == "wcs" else task.cap
         counts, flat = _second_stage(starts_all[local], sizes_all[local], cap, rng)
     elif design == "tsrcs":
@@ -599,6 +614,14 @@ class SamplingRun:
         self._shard_seconds = np.zeros(num_tasks, dtype=np.float64)
         self._shard_tasks = np.zeros(num_tasks, dtype=np.int64)
         self._rounds = 0
+        # Per-stratum task ids in task order (the merge order), built once
+        # instead of per round; each shard's draw-time histogram is looked
+        # up on its first task and kept.
+        self._stratum_tasks = [
+            [task_id for task_id, s in enumerate(self._task_strata) if s == stratum_index]
+            for stratum_index in range(len(self._stratum_weights))
+        ]
+        self._draw_histograms: list[obs_metrics.Histogram | None] = [None] * num_tasks
 
     # ------------------------------------------------------------------ #
     # Allocation
@@ -615,13 +638,8 @@ class SamplingRun:
         if self.design == "twcs-strat":
             per_stratum = self._stratum_allocation(count)
             allocation = np.zeros(num_tasks, dtype=np.int64)
-            for stratum_index, stratum_count in enumerate(per_stratum):
-                task_ids = [
-                    i for i, s in enumerate(self._task_strata) if s == stratum_index
-                ]
-                inner = largest_remainder(self._weights[task_ids], stratum_count)
-                for task_id, task_count in zip(task_ids, inner):
-                    allocation[task_id] = task_count
+            for task_ids, stratum_count in zip(self._stratum_tasks, per_stratum):
+                allocation[task_ids] = largest_remainder(self._weights[task_ids], stratum_count)
             return allocation
         return largest_remainder(self._weights, count)
 
@@ -636,11 +654,10 @@ class SamplingRun:
         """
         if self.allocation == "neyman":
             stds: list[float] = []
-            for stratum_index in range(len(self._stratum_weights)):
+            for task_ids in self._stratum_tasks:
                 merged = RunningMean()
-                for task_id, task_stratum in enumerate(self._task_strata):
-                    if task_stratum == stratum_index:
-                        merged.merge(self._accumulators[task_id])
+                for task_id in task_ids:
+                    merged.merge(self._accumulators[task_id])
                 if merged.count >= 2 and not math.isinf(merged.std_error):
                     stds.append(merged.std_error * math.sqrt(merged.count))
                 else:
@@ -701,9 +718,7 @@ class SamplingRun:
                 self._cursors[index] = result.cursor
                 self._shard_seconds[index] += result.elapsed
                 self._shard_tasks[index] += 1
-                obs_metrics.histogram(
-                    "sampling_shard_draw_seconds", shard=index
-                ).observe(result.elapsed)
+                self._draw_histogram(index).observe(result.elapsed)
                 sums = _unit_label_sums(result.counts, result.positions, self._labels)
                 rows = result.rows
                 if self._segment is not None:
@@ -724,6 +739,14 @@ class SamplingRun:
             obs_metrics.counter("sampling_rounds_total").inc()
             obs_metrics.counter("sampling_units_total").inc(round_units)
         return draws
+
+    def _draw_histogram(self, index: int) -> obs_metrics.Histogram:
+        histogram = self._draw_histograms[index]
+        if histogram is None:
+            histogram = self._draw_histograms[index] = obs_metrics.histogram(
+                "sampling_shard_draw_seconds", shard=index
+            )
+        return histogram
 
     def _fold(
         self, index: int, result: ShardResult, sums: np.ndarray, rows: np.ndarray
@@ -800,13 +823,12 @@ class SamplingRun:
         num_units = 0
         num_triples = 0
         undetermined = False
-        for stratum_index, weight in enumerate(self._stratum_weights):
+        for task_ids, weight in zip(self._stratum_tasks, self._stratum_weights):
             merged = RunningMean()
             stratum_triples = 0
-            for task_id, task_stratum in enumerate(self._task_strata):
-                if task_stratum == stratum_index:
-                    merged.merge(self._accumulators[task_id])
-                    stratum_triples += int(self._task_triples[task_id])
+            for task_id in task_ids:
+                merged.merge(self._accumulators[task_id])
+                stratum_triples += int(self._task_triples[task_id])
             num_units += merged.count
             num_triples += stratum_triples
             value += weight * merged.mean

@@ -24,7 +24,13 @@ import numpy as np
 
 from repro.kg.graph import sample_csr_positions_batch
 from repro.kg.triple import Triple
-from repro.sampling.base import Estimate, PositionUnit, segment_label_sums
+from repro.sampling.base import (
+    Estimate,
+    PositionUnit,
+    draw_weighted,
+    segment_label_sums,
+    weighted_cdf,
+)
 from repro.stats.running import RunningMean
 
 __all__ = ["PositionSegment", "SegmentTWCSDesign"]
@@ -123,7 +129,7 @@ class SegmentTWCSDesign:
         self._rng = np.random.default_rng(seed)
         self._sizes = segment.sizes()
         sizes = self._sizes.astype(float)
-        self._weights = sizes / sizes.sum()
+        self._cdf = weighted_cdf(sizes / sizes.sum())
         self._cluster_means = RunningMean()
         self._num_triples = 0
 
@@ -136,7 +142,7 @@ class SegmentTWCSDesign:
         """Draw ``count`` cluster units as position-only views."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        rows = self._rng.choice(self._sizes.shape[0], size=count, replace=True, p=self._weights)
+        rows = draw_weighted(self._rng, self._cdf, count)
         batches = sample_csr_positions_batch(
             self.segment.offsets, self.segment.positions, rows, self.second_stage_size, self._rng
         )

@@ -95,10 +95,15 @@ def stratify_by_key(
         value = key(entity_id)
         index = int(np.searchsorted(sorted_boundaries, value, side="left"))
         assignment[entity_id] = index
+    return _build_strata(graph, assignment, _boundary_labels(sorted_boundaries, label_prefix))
+
+
+def _boundary_labels(boundaries: Sequence[float], label_prefix: str) -> dict[int, str]:
+    """Stratum index -> label for the strata cut by ``boundaries``."""
     labels = {}
-    for index in range(len(sorted_boundaries) + 1):
-        lower = sorted_boundaries[index - 1] if index > 0 else None
-        upper = sorted_boundaries[index] if index < len(sorted_boundaries) else None
+    for index in range(len(boundaries) + 1):
+        lower = boundaries[index - 1] if index > 0 else None
+        upper = boundaries[index] if index < len(boundaries) else None
         if lower is None and upper is not None:
             labels[index] = f"{label_prefix}<= {upper:g}"
         elif upper is None and lower is not None:
@@ -107,7 +112,7 @@ def stratify_by_key(
             labels[index] = f"{label_prefix}({lower:g}, {upper:g}]"
         else:
             labels[index] = f"{label_prefix}-all"
-    return _build_strata(graph, assignment, labels)
+    return labels
 
 
 def stratify_by_size(graph: KnowledgeGraph, num_strata: int = 4) -> list[Stratum]:
@@ -120,7 +125,31 @@ def stratify_by_size(graph: KnowledgeGraph, num_strata: int = 4) -> list[Stratum
         raise ValueError("num_strata must be at least 1")
     sizes = graph.cluster_size_array()
     boundaries = cumulative_sqrt_frequency_boundaries(sizes, num_strata)
-    return stratify_by_key(graph, graph.cluster_size, boundaries, label_prefix="size")
+    # The strata stratify_by_key(graph, graph.cluster_size, boundaries) builds,
+    # from one pass over the size array instead of a size lookup per entity.
+    assignment = np.searchsorted(np.asarray(boundaries, dtype=np.float64), sizes, side="left")
+    totals = np.bincount(assignment, weights=sizes, minlength=len(boundaries) + 1)
+    members = np.bincount(assignment, minlength=len(boundaries) + 1)
+    order = np.argsort(assignment, kind="stable").tolist()
+    entity_ids = graph.entity_ids
+    labels = _boundary_labels(boundaries, "size")
+    total_triples = graph.num_triples
+    strata = []
+    start = 0
+    for stratum_index, count in enumerate(members.tolist()):
+        if count == 0:
+            continue
+        stratum_triples = int(totals[stratum_index])
+        strata.append(
+            Stratum(
+                label=labels[stratum_index],
+                entity_ids=tuple(entity_ids[row] for row in order[start : start + count]),
+                num_triples=stratum_triples,
+                weight=stratum_triples / total_triples,
+            )
+        )
+        start += count
+    return strata
 
 
 def stratify_by_oracle_accuracy(

@@ -29,7 +29,9 @@ from repro.sampling.base import (
     PositionUnit,
     SampleUnit,
     SamplingDesign,
+    draw_weighted,
     segment_label_sums,
+    weighted_cdf,
 )
 from repro.stats.running import RunningMean
 
@@ -69,7 +71,7 @@ class TwoStageWeightedClusterDesign(SamplingDesign):
         self._rng = np.random.default_rng(seed)
         self._sizes = graph.cluster_size_array()
         sizes = self._sizes.astype(float)
-        self._weights = sizes / sizes.sum()
+        self._cdf = weighted_cdf(sizes / sizes.sum())
         #: entity-id strings are only needed by the object draw surface;
         #: materialised lazily so position-only runs never pay for them.
         self._entity_ids_cache: list[str] | None = None
@@ -92,7 +94,7 @@ class TwoStageWeightedClusterDesign(SamplingDesign):
         if count < 0:
             raise ValueError("count must be non-negative")
         entity_ids = self._entity_ids
-        indices = self._rng.choice(len(entity_ids), size=count, replace=True, p=self._weights)
+        indices = draw_weighted(self._rng, self._cdf, count)
         graph = self.graph
         units = []
         for index in indices:
@@ -112,7 +114,7 @@ class TwoStageWeightedClusterDesign(SamplingDesign):
         """Draw ``count`` cluster units as position-only views (no Triples)."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        rows = self._rng.choice(self._sizes.shape[0], size=count, replace=True, p=self._weights)
+        rows = draw_weighted(self._rng, self._cdf, count)
         batches = self.graph.sample_cluster_positions_batch(rows, self.second_stage_size, self._rng)
         sizes = self._sizes
         return [

@@ -22,7 +22,9 @@ from repro.sampling.base import (
     PositionUnit,
     SampleUnit,
     SamplingDesign,
+    draw_weighted,
     segment_label_sums,
+    weighted_cdf,
 )
 from repro.stats.running import RunningMean
 
@@ -51,7 +53,7 @@ class WeightedClusterDesign(SamplingDesign):
         self._rng = np.random.default_rng(seed)
         self._sizes = graph.cluster_size_array()
         sizes = self._sizes.astype(float)
-        self._weights = sizes / sizes.sum()
+        self._cdf = weighted_cdf(sizes / sizes.sum())
         self._entity_ids_cache: list[str] | None = None
         self._values = RunningMean()
         self._num_triples = 0
@@ -68,7 +70,7 @@ class WeightedClusterDesign(SamplingDesign):
         self._num_triples = 0
 
     def _draw_cluster_indices(self, count: int) -> np.ndarray:
-        return self._rng.choice(self._sizes.shape[0], size=count, replace=True, p=self._weights)
+        return draw_weighted(self._rng, self._cdf, count)
 
     def draw(self, count: int) -> list[SampleUnit]:
         """Draw ``count`` clusters with probability proportional to size."""

@@ -608,6 +608,8 @@ class SqliteStore(StorageBackend):
 
     def cluster_size(self, entity_id: str) -> int:
         row = self.entity_row(entity_id)
+        if self._sizes is not None:
+            return int(self._sizes[row])
         count = self._conn.execute(
             "SELECT COUNT(*) FROM triples WHERE entity_row = ?", (row,)
         ).fetchone()

@@ -33,9 +33,10 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 def _hermetic_planner_profile(tmp_path, monkeypatch) -> None:
     """Point the planner's calibration profile at the test's tmp dir.
 
-    Multi-shard ``evaluate`` runs fold their wall-clock into the profile and
-    save it; without this, the suite would rewrite the developer's
-    ``~/.cache/repro/planner.json`` and later tests would plan from it.
+    Setting ``REPRO_PLANNER_PROFILE`` names a profile, so multi-shard
+    ``evaluate`` runs fold their wall-clock into it and save it; the
+    per-test path keeps one test's timing from steering a later test's plan,
+    and no test reads the developer's ``~/.cache/repro/planner.json``.
     Subprocesses started by a test inherit the redirect.
     """
     monkeypatch.setenv("REPRO_PLANNER_PROFILE", str(tmp_path / "planner.json"))

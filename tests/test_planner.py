@@ -207,6 +207,35 @@ class TestProfilePersistence:
         decision = AdaptivePlanner(profile, cpu_count=8).plan(_stats(), draws=500_000)
         assert "pool" not in decision.predictions
 
+    def test_default_runs_leave_the_profile_alone(self, capsys, tmp_path, monkeypatch):
+        # Without --profile or REPRO_PLANNER_PROFILE a sharded run must not
+        # learn into ~/.cache: one run's timing would steer the next default
+        # run's transport pick.
+        monkeypatch.delenv("REPRO_PLANNER_PROFILE")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        args = ["evaluate", "--dataset", "movie", "--movie-scale", "0.005"]
+        args += ["--design", "twcs-strat", "--shards", "4", "--seed", "0"]
+        planner_lines = []
+        for backend in ("memory", "sqlite"):
+            assert main([*args, "--backend", backend]) == 0
+            out = capsys.readouterr().out
+            planner_lines += [line for line in out.splitlines() if line.startswith("planner")]
+        assert len(planner_lines) == 2 and planner_lines[0] == planner_lines[1]
+        assert not default_profile_path().exists()
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+    def test_named_profile_learns_from_the_run(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "named.json"
+        monkeypatch.delenv("REPRO_PLANNER_PROFILE")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        args = ["evaluate", "--dataset", "movie", "--movie-scale", "0.005"]
+        args += ["--design", "twcs-strat", "--shards", "4", "--profile", str(target)]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert load_profile(target).cost("serial").samples == 1
+        assert not default_profile_path().exists()
+
     def test_corrupt_profile_falls_back_to_defaults(self, tmp_path):
         bad = tmp_path / "planner.json"
         bad.write_text("{not json", encoding="utf-8")

@@ -14,6 +14,7 @@ from repro.sampling.stratification import (
     stratify_by_size,
 )
 from repro.sampling.stratified import StratifiedTWCSDesign
+from repro.stats.allocation import cumulative_sqrt_frequency_boundaries
 
 
 def annotate_and_update(design, units, oracle):
@@ -36,6 +37,35 @@ class TestStratification:
             assert stratum.num_triples == sum(
                 nell.graph.cluster_size(e) for e in stratum.entity_ids
             )
+
+    @pytest.mark.parametrize("backend", ["memory", "columnar", "sqlite"])
+    @pytest.mark.parametrize("num_strata", [1, 2, 4, 6])
+    def test_size_strata_match_the_per_entity_reference(
+        self, movie_small, tmp_path, backend, num_strata
+    ):
+        # stratify_by_size assigns strata from one pass over the size array;
+        # it must build exactly the strata of the per-entity key lookup.
+        graph = movie_small.graph
+        if backend == "columnar":
+            graph = graph.to_columnar()
+        elif backend == "sqlite":
+            graph = graph.to_sqlite(str(tmp_path / "kg.sqlite"))
+        boundaries = cumulative_sqrt_frequency_boundaries(graph.cluster_size_array(), num_strata)
+        reference = stratify_by_key(graph, graph.cluster_size, boundaries, label_prefix="size")
+        strata = stratify_by_size(graph, num_strata=num_strata)
+        assert strata == reference
+        for stratum in strata:
+            assert type(stratum.num_triples) is int and type(stratum.weight) is float
+
+    def test_sqlite_cluster_size_agrees_with_and_without_the_size_cache(
+        self, movie_small, tmp_path
+    ):
+        graph = movie_small.graph.to_sqlite(str(tmp_path / "kg.sqlite"))
+        entities = list(graph.entity_ids)[:50]
+        queried = [graph.cluster_size(entity) for entity in entities]
+        graph.cluster_size_array()
+        cached = [graph.cluster_size(entity) for entity in entities]
+        assert queried == cached == [movie_small.graph.cluster_size(e) for e in entities]
 
     def test_size_strata_order_clusters_by_size(self, nell):
         strata = stratify_by_size(nell.graph, num_strata=2)

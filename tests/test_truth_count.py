@@ -123,3 +123,38 @@ def test_object_surface_keeps_a_non_strict_oracle():
         evaluator.evaluate_base()
         truths.append(evaluator.current_true_accuracy())
     assert truths[0] == truths[1] == data.true_accuracy
+
+
+@pytest.mark.parametrize("backend", ["memory", "columnar"])
+@pytest.mark.parametrize(
+    "evaluator_cls", [ReservoirIncrementalEvaluator, StratifiedIncrementalEvaluator]
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_position_labels_match_the_concatenate_reference(seed, evaluator_cls, backend):
+    # The position surface grows its label array in a doubling buffer and
+    # keeps a running correct count; both must equal appending each batch's
+    # labels with np.concatenate and taking the mean, after every batch.
+    rng = np.random.default_rng(seed)
+    base = _random_base(rng, strict=True)
+    if backend == "columnar":
+        base = LabelledKG(base.graph.to_columnar(), base.oracle)
+    evaluator = evaluator_cls(base, config=_CONFIG, seed=seed, surface="position")
+    evaluator.evaluate_base()
+    reference = base.oracle.as_position_array(base.graph)
+    assert evaluator.current_true_accuracy() == float(reference.mean())
+    earlier: list[tuple[np.ndarray, np.ndarray]] = []
+    for batch_index in range(1, 9):
+        current = evaluator.evolving.current
+        before = current.num_triples
+        batch, batch_oracle = _random_batch(rng, batch_index, current, strict=True)
+        earlier.append((evaluator.labels, evaluator.labels.copy()))
+        evaluator.apply_update(batch, batch_oracle)
+        current = evaluator.evolving.current
+        appended = current.triples_at(np.arange(before, current.num_triples))
+        batch_labels = np.array([batch_oracle.label(t) for t in appended], dtype=bool)
+        reference = np.concatenate([reference, batch_labels])
+        assert np.array_equal(evaluator.labels, reference)
+        assert evaluator.current_true_accuracy() == float(reference.mean())
+    # Arrays handed out before later appends (and regrowths) are unchanged.
+    for handed_out, snapshot in earlier:
+        assert np.array_equal(handed_out, snapshot)
